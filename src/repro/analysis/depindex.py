@@ -18,11 +18,7 @@ The index keeps the per-rule bounds in parallel lo/hi arrays (NumPy when
 available, plain lists otherwise) so ``overlapping(rule)`` is one vectorised
 comparison instead of an O(n) Python loop, and is maintained incrementally:
 :meth:`add_rule` / :meth:`remove_rule` update the rule map immediately and
-mark the arrays dirty; the next query rebuilds them lazily.  The control
-plane (:class:`~repro.api.control.ClassifierControl`) calls these after every
-committed transaction so the index tracks the installed program, and the
-:class:`~repro.perf.flowcache.FlowCache` uses ``overlapping`` to narrow an
-insert's blast radius to the flows resting on overlapping rules.
+mark the arrays dirty; the next query rebuilds them lazily.
 
 The lint passes (:mod:`repro.analysis.lint`) build on the same index: the
 overlap set of a rule restricted to higher-priority rules is precisely the

@@ -442,24 +442,6 @@ class ClassifierControl(ControlPlane):
     def __init__(self, classifier) -> None:
         super().__init__()
         self.classifier = classifier
-        self._dependency_index = None
-
-    @property
-    def dependency_index(self):
-        """The plane's rule-overlap index, built lazily and kept incremental.
-
-        First access builds a :class:`~repro.analysis.depindex.DependencyIndex`
-        over the installed rules; every subsequent commit maintains it
-        incrementally, so repeated queries (flow-cache narrowing, ``repro
-        lint`` on a live plane) never pay the full rebuild again.
-        """
-        if self._dependency_index is None:
-            from repro.analysis.depindex import DependencyIndex
-
-            self._dependency_index = DependencyIndex(
-                self.classifier.update_engine.installed_rules_in_order()
-            )
-        return self._dependency_index
 
     def program(self) -> RuleProgram:
         classifier = self.classifier
@@ -593,16 +575,7 @@ class ClassifierControl(ControlPlane):
         scope = self._build_scope(pre_marks, applied)
         flow_cache = getattr(self.classifier, "flow_cache", None)
         if flow_cache is not None:
-            flow_cache.note_commit(delta, self._dependency_index)
-        if self._dependency_index is not None:
-            # Maintained after the flow-cache notification: cached entries
-            # were decided by pre-commit rules, so narrowing queries must run
-            # against the pre-commit index.
-            for op in delta.ops:
-                if op.kind == "insert":
-                    self._dependency_index.add_rule(op.rule)
-                elif op.kind == "remove":
-                    self._dependency_index.remove_rule(op.rule_id)
+            flow_cache.note_commit(delta)
         fast_path = getattr(self.classifier, "_fast_path", None)
         if fast_path is not None:
             fast_path.note_commit(scope)

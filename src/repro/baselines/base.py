@@ -27,7 +27,6 @@ import inspect
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.exceptions import RemovedApiError
 from repro.rules.packet import PacketHeader
 from repro.rules.rule import Rule
 from repro.rules.ruleset import RuleSet
@@ -139,19 +138,6 @@ class BaselineClassifier(abc.ABC):
         """
         self.ensure_built()
         return self._match(packet)
-
-    def classify(self, packet: PacketHeader) -> ClassificationOutcome:
-        """Removed pre-unified-API entry point (error stub).
-
-        .. deprecated:: 1.1 (removed in 1.3)
-           Use :meth:`match_packet` for the raw outcome, or go through
-           :func:`repro.api.create_classifier` for the unified
-           ``classify() -> Classification`` protocol.
-        """
-        raise RemovedApiError(
-            f"{type(self).__name__}.classify() was removed; use match_packet() "
-            "for the raw outcome or the unified repro.api classification protocol"
-        )
 
     @abc.abstractmethod
     def _memory_bits(self) -> int:

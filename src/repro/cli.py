@@ -460,7 +460,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     victims = _fabric_churn_victims(ruleset, (args.churn + 1) // 2)
     packets = matched = hop_lookups = updates_applied = 0
     for index, segment in enumerate(segments):
-        result = fabric.serve(segment, chunk_size=args.chunk_size)
+        result = fabric.serve(segment)
         packets += result.packets
         matched += result.matched
         hop_lookups += result.hop_lookups
@@ -729,8 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=2014)
         if packets:
             sub.add_argument("--packets", type=int, default=200)
-        sub.add_argument("--chunk-size", type=int, default=256,
-                         help="streaming session chunk size")
         sub.add_argument(
             "--fast", action="store_true",
             help="enable the repro.perf batch fast path (configurable classifier only)",
@@ -988,6 +986,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_workload_arguments(sub_replay, packets=False)
     sub_replay.set_defaults(func=_cmd_replay)
+
+    for sub in (sub_classify, sub_update, sub_sweep, sub_replay):
+        sub.add_argument("--chunk-size", type=int, default=256,
+                         help="streaming session chunk size")
     return parser
 
 

@@ -31,11 +31,11 @@ of the ROADMAP made concrete:
   transactions and `RuleProgram` snapshots work fabric-wide.
 * :meth:`FabricController.serve` — drives an ingress-tagged trace
   (:func:`~repro.rules.trace.generate_fabric_trace`) through the fabric:
-  per-switch :class:`~repro.perf.parallel.ParallelSession` serving, per-hop
-  lookups combined into one fabric classification per packet, per-switch hit
-  accounting and merged fabric-wide statistics.  Statistics commit only
-  after every switch finished its share — a poisoned switch cancels the
-  whole serve with no partial stats.
+  one ``classify_batch`` call per switch, per-hop lookups combined into one
+  fabric classification per packet, per-switch hit accounting and merged
+  fabric-wide statistics.  Statistics commit only after every switch
+  finished its share — a poisoned switch cancels the whole serve with no
+  partial stats.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from repro.analysis.depindex import DependencyIndex
 from repro.api.control import CommitResult, ControlPlane, Delta, RuleProgram, TxnOp
-from repro.api.session import SessionStats
+from repro.api.session import RunningCounters, SessionStats, measure_results
 from repro.controller.controller import SdnController
 from repro.controller.switch import Switch
 from repro.core.config import ClassifierConfig
 from repro.core.result import Classification
 from repro.exceptions import ControlPlaneError, UpdateError
-from repro.perf.parallel import ParallelSession, merge_flow_cache_stats
+from repro.perf.parallel import merge_flow_cache_stats
 from repro.perf.transport import pack_header
 from repro.rules.packet import PacketHeader
 from repro.rules.rule import Rule
@@ -667,16 +667,13 @@ class FabricController(ControlPlane):
         assert best is not None  # a path always has at least one hop
         return best
 
-    def serve(
-        self, packets: Sequence, chunk_size: int = 256
-    ) -> FabricServeResult:
+    def serve(self, packets: Sequence) -> FabricServeResult:
         """Serve a trace through the fabric (ingress-tagged or plain).
 
         Packets are grouped by ingress, looked up on every hop of their
-        routed path through a per-switch
-        :class:`~repro.perf.parallel.ParallelSession`, and the per-hop
-        records combine into one fabric classification per packet: the
-        highest-priority match along the path (exact, because placement
+        routed path with one ``classify_batch`` call per switch, and the
+        per-hop records combine into one fabric classification per packet:
+        the highest-priority match along the path (exact, because placement
         keeps overlap components whole), or the ingress switch's miss
         record.  Per-switch and fabric-wide statistics update only after
         **every** switch finished — a failing switch aborts the serve with
@@ -697,24 +694,23 @@ class FabricController(ControlPlane):
             for dpid in paths[packet.ingress].hops:
                 workloads.setdefault(dpid, []).append((index, packet))
 
-        per_switch_results: Dict[int, List[Classification]] = {}
+        per_switch_results: Dict[int, Tuple[Classification, ...]] = {}
         session_parts: List[SessionStats] = []
         flow_parts: List[Optional[Dict[str, object]]] = []
-        sessions: List[ParallelSession] = []
-        try:
-            for dpid in sorted(workloads):
-                classifier = self.controller.switch(dpid).classifier
-                session = ParallelSession([classifier], chunk_size=chunk_size)
-                sessions.append(session)
-                batch = session.feed(
-                    packet.header for _, packet in workloads[dpid]
-                )
-                per_switch_results[dpid] = list(batch.results)
-                session_parts.append(session.stats())
-                flow_parts.append(session.flow_cache_stats())
-        finally:
-            for session in sessions:
-                session.close()
+        for dpid in sorted(workloads):
+            classifier = self.controller.switch(dpid).classifier
+            batch = classifier.classify_batch(
+                [packet.header for _, packet in workloads[dpid]]
+            )
+            per_switch_results[dpid] = batch.results
+            counters = RunningCounters()
+            counters.absorb(measure_results(batch.results))
+            flow_cache = classifier.flow_cache
+            flow = flow_cache.stats() if flow_cache is not None else None
+            session_parts.append(
+                counters.to_stats(classifier.name, classifier.memory_bits(), flow=flow)
+            )
+            flow_parts.append(flow)
 
         combined: List[Optional[Classification]] = [None] * len(packets)
         ingress_records: List[Optional[Classification]] = [None] * len(packets)

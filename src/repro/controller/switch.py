@@ -15,7 +15,7 @@ it was.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.controller.channel import ControlChannel
 from repro.controller.openflow import (
@@ -30,8 +30,8 @@ from repro.controller.openflow import (
 )
 from repro.core.classifier import ConfigurableClassifier
 from repro.core.config import ClassifierConfig
-from repro.core.result import BatchResult, Classification, LookupResult
-from repro.exceptions import ControlPlaneError, RemovedApiError, ReproError
+from repro.core.result import BatchResult, Classification
+from repro.exceptions import ControlPlaneError, ReproError
 from repro.rules.packet import PacketHeader
 
 __all__ = ["SwitchStats", "Switch"]
@@ -161,17 +161,6 @@ class Switch:
     def classify_batch(self, trace) -> BatchResult:
         """Classify a whole packet trace (unified API)."""
         return BatchResult(tuple(self.classify(packet) for packet in trace))
-
-    def classify_trace(self, trace) -> List[LookupResult]:
-        """Removed pre-unified-API batch entry point (error stub).
-
-        .. deprecated:: 1.1 (removed in 1.3)
-           Use :meth:`classify_batch`.
-        """
-        raise RemovedApiError(
-            "Switch.classify_trace() was removed; use classify_batch() "
-            "(per-packet LookupResults ride along as Classification.detail)"
-        )
 
     def __repr__(self) -> str:
         return (

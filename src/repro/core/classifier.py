@@ -38,7 +38,7 @@ from repro.core.result import (
     UpdateResult,
 )
 from repro.core.update_engine import UpdateEngine
-from repro.exceptions import ConfigurationError, RemovedApiError
+from repro.exceptions import ConfigurationError
 from repro.fields.base import SingleFieldEngine
 from repro.fields.binary_search_tree import BinarySearchTree
 from repro.fields.multibit_trie import MultibitTrie
@@ -310,18 +310,6 @@ class ConfigurableClassifier:
         """The attached flow cache, or None."""
         return self._flow_cache
 
-    def lookup(self, packet: PacketHeader) -> LookupResult:
-        """Removed pre-unified-API entry point (error stub).
-
-        .. deprecated:: 1.1 (removed in 1.3)
-           Use :meth:`classify`; the returned ``Classification.detail``
-           carries this method's :class:`LookupResult`.
-        """
-        raise RemovedApiError(
-            "ConfigurableClassifier.lookup() was removed; use classify() "
-            "(the LookupResult is available as Classification.detail)"
-        )
-
     def _lookup(self, packet: PacketHeader) -> LookupResult:
         """Classify one packet header and return the HPMR with its cost."""
         values = packet_dimension_values(packet)
@@ -364,18 +352,6 @@ class ConfigurableClassifier:
             memory_accesses=accesses,
             combiner_probes=outcome.probes,
             truncated=outcome.truncated,
-        )
-
-    def classify_trace(self, trace: Iterable[PacketHeader]) -> List[LookupResult]:
-        """Removed pre-unified-API batch entry point (error stub).
-
-        .. deprecated:: 1.1 (removed in 1.3)
-           Use :meth:`classify_batch`, which aggregates the batch metrics.
-        """
-        raise RemovedApiError(
-            "ConfigurableClassifier.classify_trace() was removed; use "
-            "classify_batch() (per-packet LookupResults ride along as "
-            "Classification.detail)"
         )
 
     def _fully_pipelined(self) -> bool:

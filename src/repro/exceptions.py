@@ -41,16 +41,6 @@ class ConfigurationError(ReproError):
     """The classifier or controller was configured inconsistently."""
 
 
-class RemovedApiError(ReproError):
-    """A removed (formerly deprecated) API entry point was called.
-
-    PR 1 kept the pre-unified-API method names alive as
-    ``DeprecationWarning`` shims; the transactional control-plane redesign
-    retired them.  Each stub raises this error naming the replacement for
-    one release before disappearing entirely.
-    """
-
-
 class UpdateError(ReproError):
     """An incremental update (rule insert/delete) could not be applied."""
 

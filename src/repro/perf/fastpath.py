@@ -22,7 +22,9 @@ record from scratch for each packet; the fast path memoizes four layers:
    runs once per distinct result tuple instead of once per distinct header.
 4. **Header layer** — a cache keyed by the full 5-tuple header mapping to the
    finished :class:`~repro.core.result.Classification` (flow locality makes
-   repeated headers common in practice).
+   repeated headers common in practice).  It short-circuits every layer
+   below it, so a commit that moves any field span or Rule Filter probe
+   clears it whole (see :meth:`FastPathAccelerator.note_commit`).
 
 Every layer is a bounded :class:`~repro.perf.lru.LRUCache`: an adversarial
 stream of never-repeating flows evicts instead of growing without bound, and
@@ -134,14 +136,12 @@ class FastPathAccelerator:
         # Scoped-invalidation dependency maps (fed by the probe logs of the
         # combiner walks): probed rule-filter label key -> combiner-cache keys
         # whose outcome consumed that probe; combiner key -> result-cache
-        # keys assembled from it; result key -> header-cache packets served
-        # from it.  Evicted cache entries leave garbage references behind
-        # (pruning a garbage key is a no-op, so staleness only ever
-        # over-invalidates); the registration budget below bounds the garbage
-        # and falls back to wholesale flushing when exceeded.
+        # keys assembled from it.  Evicted cache entries leave garbage
+        # references behind (pruning a garbage key is a no-op, so staleness
+        # only ever over-invalidates); the registration budget below bounds
+        # the garbage and falls back to wholesale flushing when exceeded.
         self._combos_by_key: Dict[int, set] = {}
         self._results_by_combo: Dict[tuple, set] = {}
-        self._headers_by_result: Dict[tuple, set] = {}
         self._dep_registrations = 0
         self._dep_budget = 4 * header_cache_limit
         self._deps_overflow = False
@@ -215,7 +215,6 @@ class FastPathAccelerator:
         self._probe_cache.clear()
         self._combos_by_key.clear()
         self._results_by_combo.clear()
-        self._headers_by_result.clear()
         self._dep_registrations = 0
         self._deps_overflow = False
 
@@ -251,8 +250,7 @@ class FastPathAccelerator:
         dropped = 0
         # Field layer: lookups inside a span may have changed; the combiner /
         # result layers are keyed by the lookup *values* and therefore
-        # self-correct, but the header layer short-circuits the field walk
-        # entirely and must shed every packet whose value lands in a span.
+        # self-correct.
         for name, spans in scope.field_spans.items():
             cache = self._field_caches[name]
             stale = [
@@ -263,13 +261,18 @@ class FastPathAccelerator:
             for value in stale:
                 cache.discard(value)
             dropped += len(stale)
-        if scope.field_spans:
-            dropped += self._drop_headers_in_spans(scope.field_spans)
+        # Header layer: it short-circuits the field walk and the combiner, so
+        # any moved span or probe may have changed an entry.  Header hits
+        # after a commit measure ~0 on churn traffic, so tracking which
+        # entries could survive does not pay.
+        if scope.field_spans or scope.touches_filter:
+            dropped += len(self._header_cache)
+            self._header_cache.clear()
         # Filter layer: outcomes that consumed a probe of a dirty label key
-        # cascade into their result records and header entries; the key-level
-        # probe cache sheds exactly the dirty keys (including any the walks
-        # resolved but pruned before consuming — those were never registered
-        # but can still be replayed later).
+        # cascade into their result records; the key-level probe cache sheds
+        # exactly the dirty keys (including any the walks resolved but pruned
+        # before consuming — those were never registered but can still be
+        # replayed later).
         if scope.filter_wholesale:
             self._invalidate_outcomes()
         elif scope.filter_keys:
@@ -284,40 +287,12 @@ class FastPathAccelerator:
         self.scoped_commits += 1
         self.scoped_entries_dropped += dropped
 
-    def _drop_headers_in_spans(self, field_spans) -> int:
-        """Drop header entries whose packet values fall in any dirty span."""
-        extractors = {
-            "src_ip_hi": lambda p: p.src_ip >> 16,
-            "src_ip_lo": lambda p: p.src_ip & 0xFFFF,
-            "dst_ip_hi": lambda p: p.dst_ip >> 16,
-            "dst_ip_lo": lambda p: p.dst_ip & 0xFFFF,
-            "src_port": lambda p: p.src_port,
-            "dst_port": lambda p: p.dst_port,
-            "protocol": lambda p: p.protocol,
-        }
-        checks = [
-            (extractors[name], spans) for name, spans in field_spans.items()
-        ]
-        header_cache = self._header_cache
-        stale = []
-        for packet in header_cache.data:
-            for extract, spans in checks:
-                value = extract(packet)
-                if any(low <= value <= high for low, high in spans):
-                    stale.append(packet)
-                    break
-        for packet in stale:
-            header_cache.discard(packet)
-        return len(stale)
-
     def _drop_filter_keys(self, keys) -> int:
         """Cascade-drop every outcome that consumed a probe of a dirty key."""
         combos_by_key = self._combos_by_key
         results_by_combo = self._results_by_combo
-        headers_by_result = self._headers_by_result
         combiner_cache = self._combiner_cache
         result_cache = self._result_cache
-        header_cache = self._header_cache
         probe_cache = self._probe_cache
         dropped = 0
         for label_key in keys:
@@ -327,16 +302,8 @@ class FastPathAccelerator:
                 continue
             for combo_key in combos:
                 dropped += combiner_cache.discard(combo_key)
-                result_keys = results_by_combo.pop(combo_key, None)
-                if not result_keys:
-                    continue
-                for result_key in result_keys:
+                for result_key in results_by_combo.pop(combo_key, ()):
                     dropped += result_cache.discard(result_key)
-                    packets = headers_by_result.pop(result_key, None)
-                    if not packets:
-                        continue
-                    for packet in packets:
-                        dropped += header_cache.discard(packet)
         return dropped
 
     # -- classification -------------------------------------------------------
@@ -439,15 +406,12 @@ class FastPathAccelerator:
         # 5-tuple hitting the same values, or distinct values with identical
         # walks) share one assembled Classification.
         result_key = tuple(result_key)
-        track = not self._deps_overflow
         record = self._result_cache.get(result_key)
         if record is not None:
             self.result_hits += 1
-            if track:
-                self._headers_by_result.setdefault(result_key, set()).add(packet)
-                self._note_registrations(1)
             return record
         self.result_misses += 1
+        track = not self._deps_overflow
         key = tuple(result.matches for result in result_key)
         outcome = self._combiner_cache.get(key)
         if outcome is None:
@@ -476,8 +440,7 @@ class FastPathAccelerator:
         self._result_cache.put(result_key, record)
         if track:
             self._results_by_combo.setdefault(key, set()).add(result_key)
-            self._headers_by_result.setdefault(result_key, set()).add(packet)
-            self._note_registrations(2)
+            self._note_registrations(1)
         return record
 
     def _note_registrations(self, count: int) -> None:
@@ -494,7 +457,6 @@ class FastPathAccelerator:
         if self._dep_registrations > self._dep_budget:
             self._combos_by_key.clear()
             self._results_by_combo.clear()
-            self._headers_by_result.clear()
             self._dep_registrations = 0
             self._deps_overflow = True
 

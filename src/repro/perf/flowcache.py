@@ -492,7 +492,7 @@ class FlowCache:
         self._entries.clear()
         self._by_rule.clear()
 
-    def note_commit(self, delta: "Delta", dependency_index=None) -> None:
+    def note_commit(self, delta: "Delta") -> None:
         """React to an applied control-plane delta.
 
         Surgically drops only the affected entries when that is
@@ -504,21 +504,14 @@ class FlowCache:
         order for untouched flows), flushes wholesale instead.  Always
         re-marks the mutation epochs so the safety net in
         :meth:`_validate_epochs` does not double-flush.
-
-        ``dependency_index`` (a pre-commit
-        :class:`~repro.analysis.depindex.DependencyIndex`, passed by
-        :class:`~repro.api.control.ClassifierControl` when it holds one)
-        narrows an insert's candidate set from *every* resident entry to the
-        flows decided by a rule overlapping the insert — plus the undecided
-        misses — before the exact per-flow match test runs.
         """
         try:
             if self._entries:
-                self._apply_commit(delta, dependency_index)
+                self._apply_commit(delta)
         finally:
             self._snapshot_epochs()
 
-    def _apply_commit(self, delta: "Delta", dependency_index=None) -> None:
+    def _apply_commit(self, delta: "Delta") -> None:
         classifier = self._classifier
         surgical = classifier is not None and (
             classifier.config.combiner_mode.value == "cross_product"
@@ -540,23 +533,10 @@ class FlowCache:
             elif op.kind == "insert":
                 rule = op.rule
                 entries = self._entries
-                if dependency_index is not None:
-                    # If the inserted rule matches a cached flow, the flow's
-                    # deciding rule shares that header with it (or the flow
-                    # was an undecided miss) — so only entries decided by an
-                    # overlapping rule, plus the misses, can change decision.
-                    candidates = set(self._by_rule.get(None, ()))
-                    for rule_id in dependency_index.overlapping(rule):
-                        candidates.update(self._by_rule.get(rule_id, ()))
-                    victims = [
-                        key for key in candidates
-                        if key in entries and rule.matches(entries[key][_PACKET])
-                    ]
-                else:
-                    victims = [
-                        key for key, entry in entries.items()
-                        if rule.matches(entry[_PACKET])
-                    ]
+                victims = [
+                    key for key, entry in entries.items()
+                    if rule.matches(entry[_PACKET])
+                ]
                 for key in victims:
                     self._drop(key, entries[key])
                 dropped += len(victims)

@@ -130,10 +130,9 @@ def merge_flow_cache_stats(
 
     Counters sum, ``hit_rate`` is re-derived from the summed counters,
     configuration fields come from the first part (pools are homogeneous),
-    and ``replicas`` sums the parts' own replica counts (a raw per-worker
-    dict counts as one) — so merging already-merged dicts nests correctly,
-    which is how the fabric combines per-switch sessions.  Returns ``None``
-    for an empty sequence.
+    and ``replicas`` sums the parts' own replica counts (a raw per-worker or
+    per-switch dict counts as one) — so merging already-merged dicts nests
+    correctly.  Returns ``None`` for an empty sequence.
     """
     parts = [part for part in parts if part is not None]
     if not parts:

@@ -3,8 +3,7 @@
 Covers the tentpole redesign: registry round-trips over every registered
 engine, protocol conformance, batch/single-packet equivalence against the
 linear-search ground truth, the fluent config builder, the streaming session
-runner, the baseline factory path, and the deprecation shims on the old
-method names.
+runner and the baseline factory path.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from repro.api import (
 )
 from repro.baselines.base import BaselineClassifier, ClassificationOutcome
 from repro.baselines.linear_search import LinearSearchClassifier
-from repro.core.classifier import ConfigurableClassifier
 from repro.core.config import ClassifierConfig, CombinerMode, IpAlgorithm
-from repro.exceptions import ConfigurationError, RemovedApiError
+from repro.exceptions import ConfigurationError
 from repro.rules.rule import Rule, RuleAction
 from repro.rules.trace import generate_trace
 
@@ -231,40 +229,6 @@ class TestClassificationSession:
         classifier = create_classifier("linear_search", small_acl_ruleset)
         with pytest.raises(ConfigurationError):
             ClassificationSession(classifier, chunk_size=0)
-
-
-class TestRemovedApiStubs:
-    """The PR 1 DeprecationWarning shims are now one-release error stubs."""
-
-    def test_configurable_lookup_removed(self, handcrafted_ruleset, web_packet):
-        classifier = ConfigurableClassifier.from_ruleset(handcrafted_ruleset)
-        with pytest.raises(RemovedApiError, match="classify\\(\\)"):
-            classifier.lookup(web_packet)
-        # The replacement carries the same information.
-        assert classifier.classify(web_packet).detail.match.rule_id == 0
-
-    def test_configurable_classify_trace_removed(self, handcrafted_ruleset, web_packet):
-        classifier = ConfigurableClassifier.from_ruleset(handcrafted_ruleset)
-        with pytest.raises(RemovedApiError, match="classify_batch"):
-            classifier.classify_trace([web_packet])
-        assert classifier.classify_batch([web_packet])[0].rule_id == 0
-
-    def test_baseline_classify_removed(self, handcrafted_ruleset, web_packet):
-        classifier = LinearSearchClassifier(handcrafted_ruleset)
-        with pytest.raises(RemovedApiError, match="match_packet"):
-            classifier.classify(web_packet)
-        assert classifier.match_packet(web_packet).rule_id == 0
-
-    def test_switch_classify_trace_removed(self, handcrafted_ruleset, web_packet):
-        from repro.controller.channel import ControlChannel
-        from repro.controller.switch import Switch
-
-        switch = Switch(datapath_id=1, channel=ControlChannel("test-channel"))
-        for rule in handcrafted_ruleset:
-            switch.classifier.install(rule)
-        with pytest.raises(RemovedApiError, match="classify_batch"):
-            switch.classify_trace([web_packet])
-        assert switch.classify_batch([web_packet])[0].rule_id == 0
 
 
 class TestBaselineFactoryPath:

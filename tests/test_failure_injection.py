@@ -266,3 +266,19 @@ class TestFabricServeFailure:
             expected = result.per_switch[switch.datapath_id]
             assert switch.stats.packets_classified == expected.packets
             assert switch.stats.packets_matched == expected.hits
+
+    def test_serve_starts_no_worker_threads(self, monkeypatch):
+        """Serving calls each switch directly: no thread pool to start or lose."""
+        import repro.perf.parallel as parallel
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("injected: no threads available")
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", refuse)
+        fabric, trace = self._served_fabric()
+        result = fabric.serve(trace)
+        assert result.packets == len(trace)
+        expected = [fabric.classify(packet) for packet in trace]
+        assert [record.rule_id for record in result.results] == [
+            record.rule_id for record in expected
+        ]

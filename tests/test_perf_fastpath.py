@@ -135,6 +135,28 @@ class TestCacheInvalidation:
         # cache would have been caught above.
         assert cross.packets == first.packets
 
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_scoped_commit_clears_header_layer(self, small_acl_ruleset, vectorized):
+        """A remove+reinsert commit stays scoped yet leaves no header entry."""
+        trace = generate_trace(small_acl_ruleset, count=2000, seed=31)
+        classifier = create_classifier(
+            "configurable", small_acl_ruleset, fast=True, vectorized=vectorized
+        )
+        classifier.classify_batch(trace)
+        accelerator = classifier._fast_path
+        cached = accelerator.cache_stats()["header_entries"]
+        assert cached == len(set(trace))
+        victim = small_acl_ruleset.get(classifier.classify(trace[0]).rule_id)
+        classifier.control.begin().remove(victim.rule_id).insert(victim).commit()
+        stats = accelerator.cache_stats()
+        assert stats["scoped_commits"] == 1
+        assert stats["header_entries"] == 0
+        assert stats["scoped_entries_dropped"] >= cached
+        fast = classifier.classify_batch(trace)
+        assert accelerator.cache_stats()["epoch_flushes"] == 0
+        classifier.disable_fast_path()
+        assert list(fast.results) == list(classifier.classify_batch(trace).results)
+
     def test_disable_detaches_listeners(self, small_acl_ruleset, small_trace):
         classifier = create_classifier("configurable", small_acl_ruleset, fast=True)
         accelerator = classifier._fast_path
@@ -275,6 +297,35 @@ class TestAdversarialStream:
         assert stats["field_evictions"] > 0
         assert stats["combiner_evictions"] > 0
         accelerator.detach()
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_dependency_maps_stay_within_budget(
+        self, small_acl_ruleset, adversarial_stream, vectorized
+    ):
+        """The scoped-invalidation maps overflow to a wholesale flush, not growth."""
+        classifier = ConfigurableClassifier.from_ruleset(small_acl_ruleset)
+        accelerator = FastPathAccelerator(classifier, vectorized=vectorized, **self.LIMITS)
+        classifier._fast_path = accelerator  # control-plane commits reach it
+        budget = 4 * self.LIMITS["header_cache_limit"]
+        for start in range(0, len(adversarial_stream), 32):
+            accelerator.classify_batch(adversarial_stream[start:start + 32])
+            assert accelerator.cache_stats()["dependency_registrations"] <= budget
+            held = sum(map(len, accelerator._combos_by_key.values()))
+            held += sum(map(len, accelerator._results_by_combo.values()))
+            assert held <= budget
+        before = accelerator.cache_stats()
+        assert before["dependency_overflow"] == 1
+        # Overflowed maps cannot scope a commit: it skips the scoped pass and
+        # the next batch flushes wholesale, still bit-exact.
+        victim = small_acl_ruleset.rules()[0]
+        classifier.control.begin().remove(victim.rule_id).insert(victim).commit()
+        tail = adversarial_stream[-200:]
+        fast = classifier.classify_batch(tail)
+        after = accelerator.cache_stats()
+        assert after["scoped_commits"] == before["scoped_commits"]
+        assert after["epoch_flushes"] == before["epoch_flushes"] + 1
+        classifier.disable_fast_path()
+        assert list(fast.results) == list(classifier.classify_batch(tail).results)
 
     def test_unbounded_defaults_would_have_grown(self, small_acl_ruleset):
         """Sanity check: the stream really is adversarial (all values unique)."""
