@@ -510,8 +510,9 @@ class ClassifierControl(ControlPlane):
         application order.  Structural dimensions contribute the engine's own
         :meth:`~repro.fields.base.SingleFieldEngine.invalidation_span`;
         reprioritized dimensions contribute the spec's exact value interval.
-        A reconfigure op, or any engine that cannot localise its update,
-        degrades the whole scope to wholesale.
+        A reconfigure op, any engine that cannot localise its update, or an
+        overflow of the Rule Filter's dirty tracking degrades the whole scope
+        to wholesale.
         """
         scope = InvalidationScope(pre_marks=pre_marks)
         engines = self.classifier.engines
@@ -530,9 +531,11 @@ class ClassifierControl(ControlPlane):
                 break
             for dimension in result.reprioritized_dimensions:
                 scope.add_span(dimension, spec_interval(dimension, specs[dimension]))
-        keys, occupancy_changed = self.classifier.rule_filter.drain_dirty()
-        scope.filter_keys = keys
-        scope.filter_wholesale = occupancy_changed
+        drained = self.classifier.rule_filter.drain_dirty()
+        if drained is None:
+            scope.wholesale = True
+        else:
+            scope.filter_keys, scope.filter_homes = drained
         scope.post_marks = self._snapshot_marks()
         return scope
 

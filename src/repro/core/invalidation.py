@@ -8,7 +8,7 @@ the classifier (:class:`~repro.perf.fastpath.FastPathAccelerator`,
 affected entries instead of epoch-flushing wholesale, which is what keeps
 them warm across an update-heavy workload.
 
-The scope has three parts:
+The scope has four parts:
 
 * **epoch handoff** — the per-engine and rule-filter
   :class:`~repro.observers.MutationEpoch` marks immediately before and after
@@ -22,19 +22,21 @@ The scope has three parts:
   after the commit: the structural blast radius reported by
   :meth:`~repro.fields.base.SingleFieldEngine.invalidation_span` plus the
   exact spec interval of every label reprioritization.
-* **filter keys** — the label keys whose Rule Filter lookup outcomes the
+* **filter keys** — the label keys whose Rule Filter best entries the
   commit's inserts/deletes may have changed (drained from
   :meth:`~repro.hardware.rule_filter.RuleFilterMemory.drain_dirty`): the
   inserted/removed keys plus any entry a backward-shift deletion relocated.
-  Probe walks of every *other* key scan the same slots to the same empty
-  terminator as long as the table's occupancy pattern is unchanged, so
-  outcome caches registered by probed key prune exactly.  When occupancy
-  *did* net-change, probe counts moved for an unbounded key set and
-  ``filter_wholesale`` is set instead.
+* **filter homes** — the home slots whose probe-walk length the commit
+  changed: each slot whose occupancy net-flipped plus the run of slots
+  walking back from it.  A key homed anywhere else scans the same slots to
+  the same empty terminator, so outcome caches registered by the home slots
+  of their probed keys prune exactly: an entry is stale only if it probed a
+  key homed at a filter key's home or at a filter home.
 
 ``wholesale=True`` short-circuits everything: the commit's effects cannot be
 bounded (an engine without a local span moved, a reconfiguration swapped the
-datapath, tracking budgets overflowed) and caches must flush as before.
+datapath, the Rule Filter's dirty tracking overflowed) and caches must flush
+as before.
 """
 
 from __future__ import annotations
@@ -61,11 +63,10 @@ class InvalidationScope:
     #: Per dimension: inclusive value intervals whose field lookups may have
     #: changed.  Dimensions absent from the mapping are untouched.
     field_spans: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
-    #: Label keys whose Rule Filter lookup outcomes may have changed.
+    #: Label keys whose Rule Filter best entries may have changed.
     filter_keys: List[int] = field(default_factory=list)
-    #: True when the filter's occupancy pattern net-changed (or its dirty
-    #: tracking overflowed): every filter-derived cache entry must go.
-    filter_wholesale: bool = False
+    #: Home slots whose Rule Filter probe-walk length changed.
+    filter_homes: List[int] = field(default_factory=list)
     #: True when the commit's effects cannot be bounded at all.
     wholesale: bool = False
 
@@ -76,4 +77,4 @@ class InvalidationScope:
     @property
     def touches_filter(self) -> bool:
         """True when any Rule Filter lookup may have changed."""
-        return self.filter_wholesale or bool(self.filter_keys)
+        return bool(self.filter_keys or self.filter_homes)

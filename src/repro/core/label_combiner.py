@@ -95,12 +95,14 @@ class LabelCombiner:
     ) -> CombinerOutcome:
         """Resolve the HPMR from the per-dimension ``(label, priority)`` lists.
 
-        ``probe_log``, when given, collects every packed key the walk actually
-        consumed a probe for.  The outcome is a pure function of the lookup
-        results of exactly those keys (pruned combinations are decided by the
-        priority bounds of probed entries alone), so a caller memoizing the
-        outcome can invalidate it precisely: it is stale only if the rule
-        filter changed the lookup of a logged key.
+        ``probe_log``, when given, collects the home slot of every packed key
+        the walk actually consumed a probe for.  The outcome is a pure
+        function of the lookup results of exactly those keys (pruned
+        combinations are decided by the priority bounds of probed entries
+        alone), so a caller memoizing the outcome can invalidate it by home
+        slot: it is stale only if the rule filter changed the lookup of a key
+        homed at a logged slot — a dirty key's home or a changed home (see
+        :meth:`~repro.hardware.rule_filter.RuleFilterMemory.drain_dirty`).
         """
         missing = [name for name in DIMENSIONS if name not in field_matches]
         if missing:
@@ -122,8 +124,9 @@ class LabelCombiner:
         engine.  ``lists`` is the tuple of per-dimension ``(label, priority)``
         match tuples in :data:`DIMENSIONS` order (exactly the
         ``FieldLookupResult.matches`` the engines produced); ``probe_cache``
-        memoizes :class:`~repro.hardware.rule_filter.RuleFilterLookup` results
-        per packed key and ``sort_memo`` memoizes the priority-sorted form of
+        memoizes the ``(entry, probes, home)`` triple of
+        :meth:`~repro.hardware.rule_filter.RuleFilterMemory.lookup_batch` per
+        packed key and ``sort_memo`` memoizes the priority-sorted form of
         each match list (both are :class:`~repro.perf.lru.BoundedCache`-style
         objects: an exposed ``data`` dict for reads plus an eviction-enforcing
         ``put``).
@@ -145,14 +148,14 @@ class LabelCombiner:
             return CombinerOutcome(entry=None, probes=0, memory_accesses=0, cycles=1)
         if self.mode is CombinerMode.FIRST_LABEL:
             key = self._fast_pack([entries[0][0] for entries in lists])
-            if probe_log is not None:
-                probe_log.append(key)
             hit = probe_cache.data.get(key)
             if hit is None:
                 lookup = self.rule_filter.lookup(key)
-                hit = (lookup.entry, lookup.probes)
+                hit = (lookup.entry, lookup.probes, lookup.home)
                 probe_cache.put(key, hit)
-            entry, probes = hit
+            entry, probes, home = hit
+            if probe_log is not None:
+                probe_log.append(home)
             # As in lookup(): every probe is one memory access.
             return CombinerOutcome(
                 entry=entry, probes=1, memory_accesses=probes, cycles=1 + probes
@@ -285,16 +288,16 @@ class LabelCombiner:
                 if best is not None and bound_list[index] >= best_priority:
                     continue
                 key = block_keys[offset]
-                if probe_log is not None:
-                    probe_log.append(key)
                 hit = probe_get(key)
                 if hit is None:
                     # Evicted mid-block under a tiny probe-cache limit.
                     lookup = self.rule_filter.lookup(key)
-                    hit = (lookup.entry, lookup.probes)
+                    hit = (lookup.entry, lookup.probes, lookup.home)
                     probe_cache.put(key, hit)
                 probes += 1
-                entry, cost = hit
+                entry, cost, home = hit
+                if probe_log is not None:
+                    probe_log.append(home)
                 accesses += cost
                 if entry is not None and (best is None or entry.priority < best_priority):
                     best = entry
@@ -379,16 +382,16 @@ class LabelCombiner:
             for index, (bound, key) in enumerate(staged):
                 if best is not None and bound >= best_priority:
                     continue
-                if probe_log is not None:
-                    probe_log.append(key)
                 hit = probe_get(key)
                 if hit is None:
                     # Evicted mid-block under a tiny probe-cache limit.
                     lookup = self.rule_filter.lookup(key)
-                    hit = (lookup.entry, lookup.probes)
+                    hit = (lookup.entry, lookup.probes, lookup.home)
                     probe_cache.put(key, hit)
                 probes += 1
-                entry, cost = hit
+                entry, cost, home = hit
+                if probe_log is not None:
+                    probe_log.append(home)
                 accesses += cost
                 if entry is not None and (best is None or entry.priority < best_priority):
                     best = entry
@@ -414,9 +417,9 @@ class LabelCombiner:
     ) -> CombinerOutcome:
         labels = [entries[0][0] for entries in lists]
         key = self.layout.pack(labels)
-        if probe_log is not None:
-            probe_log.append(key)
         lookup = self.rule_filter.lookup(key)
+        if probe_log is not None:
+            probe_log.append(lookup.home)
         # 1 cycle to merge/hash the 68-bit key + the probe accesses.
         return CombinerOutcome(
             entry=lookup.entry,
@@ -452,9 +455,9 @@ class LabelCombiner:
                 # addresses has priority >= the maximum of them.
                 continue
             key = self.layout.pack([label for label, _ in combination])
-            if probe_log is not None:
-                probe_log.append(key)
             lookup = self.rule_filter.lookup(key)
+            if probe_log is not None:
+                probe_log.append(lookup.home)
             probes += 1
             accesses += lookup.memory_accesses
             if lookup.entry is not None and (best is None or lookup.entry.priority < best.priority):

@@ -43,6 +43,8 @@ class RuleFilterLookup:
     entry: Optional[RuleFilterEntry]
     probes: int
     memory_accesses: int
+    #: Home slot of the key (its hash): where the probe walk started.
+    home: int
 
 
 class RuleFilterMemory(MutationEpoch):
@@ -82,12 +84,12 @@ class RuleFilterMemory(MutationEpoch):
         # * ``_occupancy_origin`` — per touched slot, whether it was occupied
         #   before its first flip since the last drain.  Probe walks terminate
         #   at the first empty slot, so a *net* occupancy change moves the
-        #   probe counts of every (missing) key homed in the surrounding run —
-        #   an unbounded key set.  When that happens the drain reports
-        #   "occupancy changed" and callers must treat every filter-derived
-        #   memo as dirty.  A delete immediately followed by a re-insert (the
-        #   dominant update-under-load pattern) refills the freed slot and
-        #   nets out to no occupancy change at all.
+        #   probe counts of the keys homed in the run that ends at the flipped
+        #   slot.  The drain turns each flip into that window of home slots
+        #   (see :meth:`drain_dirty`); a lookup homed anywhere else reads the
+        #   same slots to the same empty terminator.  A delete immediately
+        #   followed by a re-insert (the dominant update-under-load pattern)
+        #   refills the freed slot and nets out to no window at all.
         self._dirty_keys: set = set()
         self._occupancy_origin: dict = {}
         self._dirty_overflow = False
@@ -109,29 +111,47 @@ class RuleFilterMemory(MutationEpoch):
 
     # -- scoped invalidation -------------------------------------------------
     #: Cap on dirty keys + touched slots tracked between drains; beyond it the
-    #: filter just reports "everything moved" (wholesale), bounding both the
-    #: memory here and the per-commit pruning work of downstream caches.
+    #: drain reports the mutations as unbounded, bounding both the memory here
+    #: and the per-commit pruning work of downstream caches.
     DIRTY_BUDGET = 4096
 
-    def drain_dirty(self) -> Tuple[List[int], bool]:
+    def drain_dirty(self) -> Optional[Tuple[List[int], List[int]]]:
         """Return and reset the dirty state recorded since the last drain.
 
-        Returns ``(dirty keys, occupancy changed)``: the label keys whose
-        lookup outcomes may have changed, and whether any slot's occupancy
-        *net*-changed across the recorded mutations (or the tracking budget
-        overflowed) — in which case probe counts shifted for an unbounded set
-        of keys and the caller must treat the whole filter as dirty.
+        Returns ``(dirty keys, changed homes)``, or ``None`` when the tracking
+        budget overflowed and the mutations cannot be bounded.  A lookup's
+        outcome is its best entry plus its probe count; the best entry can
+        only have changed for a dirty key, the probe count only for a key
+        whose home slot is among the changed homes.
+
+        Changed homes: a probe walk ends at the first empty slot at or after
+        its home, so its length moves only if a slot from the home up to that
+        terminator net-flipped occupancy, and every slot before the first
+        such flip was occupied both before and after the mutations.  So for
+        each flipped slot the changed homes are the slot itself plus every
+        slot walking back from it (wrapping past slot 0) while the slot was
+        occupied both before and after; a lookup homed anywhere else reads
+        the same slots to the same empty terminator.
         """
         keys, origin = self._dirty_keys, self._occupancy_origin
         overflow = self._dirty_overflow
         self._dirty_keys = set()
         self._occupancy_origin = {}
         self._dirty_overflow = False
+        if overflow:
+            return None
         peek = self.memory.peek
-        occupancy_changed = overflow or any(
-            (peek(slot) is not None) != occupied for slot, occupied in origin.items()
-        )
-        return sorted(keys), occupancy_changed
+        mask = self.hash_unit.table_size - 1
+        homes: set = set()
+        for flipped, occupied in origin.items():
+            if (peek(flipped) is not None) == occupied:
+                continue
+            homes.add(flipped)
+            slot = (flipped - 1) & mask
+            while slot not in homes and peek(slot) is not None and origin.get(slot, True):
+                homes.add(slot)
+                slot = (slot - 1) & mask
+        return sorted(keys), sorted(homes)
 
     def _note_entry_key(self, label_key: int) -> None:
         if self._dirty_overflow:
@@ -231,27 +251,28 @@ class RuleFilterMemory(MutationEpoch):
     # -- lookup path --------------------------------------------------------------
     def lookup(self, label_key: int) -> RuleFilterLookup:
         """Return the best-priority entry stored under ``label_key``."""
-        accesses = 0
+        home = self.hash_unit.hash(label_key)
+        mask = self.hash_unit.table_size - 1
         probes = 0
         best: Optional[RuleFilterEntry] = None
-        for slot in self.hash_unit.probe_sequence(label_key, self.memory.depth):
-            occupant = self.memory.read(slot)
-            accesses += 1
+        for offset in range(self.memory.depth):
+            occupant = self.memory.read((home + offset) & mask)
             probes += 1
             if occupant is None:
                 break
             if occupant.label_key == label_key:
                 if best is None or occupant.priority < best.priority:
                     best = occupant
-        return RuleFilterLookup(entry=best, probes=probes, memory_accesses=accesses)
+        # Every probe is one memory access.
+        return RuleFilterLookup(entry=best, probes=probes, memory_accesses=probes, home=home)
 
     def lookup_batch(self, label_keys) -> dict:
-        """Resolve many keys in one pass: ``{key: (entry, probes)}``.
+        """Resolve many keys in one pass: ``{key: (entry, probes, home)}``.
 
-        The compact batch form of :meth:`lookup`: per key, ``entry`` and
-        ``probes`` are exactly what :meth:`lookup` would report, and — as in
-        :meth:`lookup`, where every probe is one memory access —
-        ``memory_accesses == probes``, so the pair carries the full
+        The compact batch form of :meth:`lookup`: per key, ``entry``,
+        ``probes`` and ``home`` are exactly what :meth:`lookup` would report,
+        and — as in :meth:`lookup`, where every probe is one memory access —
+        ``memory_accesses == probes``, so the triple carries the full
         :class:`RuleFilterLookup` information without constructing one record
         per key.  Duplicate keys are resolved once.  The memory's read
         counter is updated in one bulk
@@ -265,11 +286,12 @@ class RuleFilterMemory(MutationEpoch):
         depth = self.memory.depth
         results: dict = {}
         total_reads = 0
-        for key, slot in zip(keys, self.hash_unit.hash_batch(keys)):
+        for key, home in zip(keys, self.hash_unit.hash_batch(keys)):
             if key in results:
                 continue
             probes = 0
             best: Optional[RuleFilterEntry] = None
+            slot = home
             for _ in range(depth):
                 occupant = reader(slot)
                 probes += 1
@@ -279,7 +301,7 @@ class RuleFilterMemory(MutationEpoch):
                     best = occupant
                 slot = (slot + 1) & mask
             total_reads += probes
-            results[key] = (best, probes)
+            results[key] = (best, probes, home)
         self.memory.count_reads(total_reads)
         return results
 

@@ -134,13 +134,15 @@ class FastPathAccelerator:
         self._engine_marks: Dict[str, Tuple[object, int]] = {}
         self._filter_mark: Optional[Tuple[object, int]] = None
         # Scoped-invalidation dependency maps (fed by the probe logs of the
-        # combiner walks): probed rule-filter label key -> combiner-cache keys
-        # whose outcome consumed that probe; combiner key -> result-cache
-        # keys assembled from it.  Evicted cache entries leave garbage
-        # references behind (pruning a garbage key is a no-op, so staleness
-        # only ever over-invalidates); the registration budget below bounds
-        # the garbage and falls back to wholesale flushing when exceeded.
-        self._combos_by_key: Dict[int, set] = {}
+        # combiner walks): rule-filter home slot -> combiner-cache keys whose
+        # outcome consumed a probe of a key homed there (at most one entry
+        # per filter slot); combiner key -> result-cache keys assembled from
+        # it.  Evicted or dropped cache entries leave garbage references
+        # behind, also across commits (pruning a garbage key is a no-op, so
+        # staleness only ever over-invalidates); the registration budget
+        # below bounds the garbage and falls back to wholesale flushing when
+        # exceeded.
+        self._combos_by_home: Dict[int, set] = {}
         self._results_by_combo: Dict[tuple, set] = {}
         self._dep_registrations = 0
         self._dep_budget = 4 * header_cache_limit
@@ -213,7 +215,7 @@ class FastPathAccelerator:
         self._result_cache.clear()
         self._header_cache.clear()
         self._probe_cache.clear()
-        self._combos_by_key.clear()
+        self._combos_by_home.clear()
         self._results_by_combo.clear()
         self._dep_registrations = 0
         self._deps_overflow = False
@@ -268,15 +270,8 @@ class FastPathAccelerator:
         if scope.field_spans or scope.touches_filter:
             dropped += len(self._header_cache)
             self._header_cache.clear()
-        # Filter layer: outcomes that consumed a probe of a dirty label key
-        # cascade into their result records; the key-level probe cache sheds
-        # exactly the dirty keys (including any the walks resolved but pruned
-        # before consuming — those were never registered but can still be
-        # replayed later).
-        if scope.filter_wholesale:
-            self._invalidate_outcomes()
-        elif scope.filter_keys:
-            dropped += self._drop_filter_keys(scope.filter_keys)
+        if scope.touches_filter:
+            dropped += self._drop_filter_deps(scope.filter_keys, scope.filter_homes)
         for name in DIMENSIONS:
             mark = scope.post_marks.get(name)
             if mark is not None:
@@ -287,17 +282,28 @@ class FastPathAccelerator:
         self.scoped_commits += 1
         self.scoped_entries_dropped += dropped
 
-    def _drop_filter_keys(self, keys) -> int:
-        """Cascade-drop every outcome that consumed a probe of a dirty key."""
-        combos_by_key = self._combos_by_key
+    def _drop_filter_deps(self, keys, homes) -> int:
+        """Drop every outcome that probed a key whose lookup may have changed.
+
+        Outcomes registered under a dirty key's home or a changed home
+        cascade into their result records.  The probe cache sheds the dirty
+        keys (including any the walks resolved but pruned before consuming);
+        it cannot find keys by home, so a changed home clears it whole.
+        """
+        combos_by_home = self._combos_by_home
         results_by_combo = self._results_by_combo
         combiner_cache = self._combiner_cache
         result_cache = self._result_cache
         probe_cache = self._probe_cache
-        dropped = 0
-        for label_key in keys:
-            probe_cache.discard(label_key)
-            combos = combos_by_key.pop(label_key, None)
+        if homes:
+            dropped = len(probe_cache)
+            probe_cache.clear()
+        else:
+            dropped = sum(probe_cache.discard(key) for key in keys)
+        stale = set(homes)
+        stale.update(self.classifier.rule_filter.hash_unit.hash_batch(keys))
+        for home in stale:
+            combos = combos_by_home.pop(home, None)
             if not combos:
                 continue
             for combo_key in combos:
@@ -428,9 +434,9 @@ class FastPathAccelerator:
             self._combiner_cache.put(key, outcome)
             self.combiner_misses += 1
             if probe_log:
-                combos_by_key = self._combos_by_key
-                for probed in probe_log:
-                    combos_by_key.setdefault(probed, set()).add(key)
+                combos_by_home = self._combos_by_home
+                for home in probe_log:
+                    combos_by_home.setdefault(home, set()).add(key)
                 self._note_registrations(len(probe_log))
         else:
             self.combiner_hits += 1
@@ -455,7 +461,7 @@ class FastPathAccelerator:
         """
         self._dep_registrations += count
         if self._dep_registrations > self._dep_budget:
-            self._combos_by_key.clear()
+            self._combos_by_home.clear()
             self._results_by_combo.clear()
             self._dep_registrations = 0
             self._deps_overflow = True

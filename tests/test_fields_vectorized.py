@@ -144,9 +144,10 @@ class TestBatchedHashAndFilter:
         assert set(batch) == set(keys)
         for key in keys:
             single = rule_filter.lookup(key)
-            entry, probes = batch[key]
+            entry, probes, home = batch[key]
             assert entry == single.entry
             assert probes == single.probes
+            assert home == single.home
             # lookup() charges one memory access per probe; the compact pair
             # preserves exactly that.
             assert probes == single.memory_accesses
@@ -158,7 +159,9 @@ class TestBatchedHashAndFilter:
         rule_filter.memory.reset_counters()
         batch = rule_filter.lookup_batch(keys)
         bulk_reads = rule_filter.memory.counter.reads
-        assert bulk_reads == sum(probes for _, probes in batch.values())
+        assert bulk_reads == sum(probes for _, probes, _ in batch.values())
+        for key, (_, _, home) in batch.items():
+            assert home == rule_filter.lookup(key).home
 
 
 class TestWideLayoutStaging:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import CapacityError, ConfigurationError
 from repro.hardware.hash_unit import DEFAULT_LABEL_LAYOUT, HashUnit, LabelKeyLayout
@@ -168,3 +170,120 @@ class TestRuleFilterMemory:
             memory.insert(self._key(index), Rule.build(index, index))
         for index in range(8):
             assert memory.lookup(self._key(index)).entry.rule_id == index
+
+
+def _walk_lengths(memory):
+    """Brute-force probe count of a lookup homed at every slot."""
+    depth = memory.memory.depth
+    occupied = [memory.memory.peek(slot) is not None for slot in range(depth)]
+    lengths = []
+    for home in range(depth):
+        step = 0
+        while step < depth and occupied[(home + step) % depth]:
+            step += 1
+        lengths.append(min(step + 1, depth))
+    return lengths
+
+
+def _best_entries(memory, keys):
+    """Brute-force best-priority entry of every key over the whole table."""
+    best = {}
+    for entry in memory.entries():
+        current = best.get(entry.label_key)
+        if current is None or entry.priority < current.priority:
+            best[entry.label_key] = entry
+    return {key: best.get(key) for key in keys}
+
+
+class TestChangedHomes:
+    """``drain_dirty`` covers every lookup outcome a batch of mutations moved."""
+
+    #: Ten label keys for a 32-slot table: rules share keys, runs grow long
+    #: and wrap past the last slot, and deletes relocate entries.
+    KEYS = [
+        DEFAULT_LABEL_LAYOUT.pack((seed, 1, 2, 3, seed % 128, 5, seed % 4)) for seed in range(10)
+    ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fill=st.lists(st.integers(0, 9), min_size=20, max_size=32),
+        batches=st.lists(
+            st.lists(
+                st.tuples(st.booleans(), st.integers(0, 9), st.integers(0, 63)),
+                min_size=1,
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_drain_reports_every_moved_walk_and_entry(self, fill, batches):
+        memory = RuleFilterMemory(capacity=32)
+        depth = memory.memory.depth
+        stored = []
+        for index in fill:
+            rule_id = len(stored)
+            memory.insert(self.KEYS[index], Rule.build(rule_id, 1024 * (index % 3) + rule_id))
+            stored.append((self.KEYS[index], rule_id))
+        next_id = len(stored)
+        memory.drain_dirty()
+        for ops in batches:
+            walks = _walk_lengths(memory)
+            best = _best_entries(memory, self.KEYS)
+            for is_insert, index, pick in ops:
+                if (is_insert and len(stored) < memory.capacity) or not stored:
+                    memory.insert(self.KEYS[index], Rule.build(next_id, 1024 * pick + next_id))
+                    stored.append((self.KEYS[index], next_id))
+                    next_id += 1
+                else:
+                    key, rule_id = stored.pop(pick % len(stored))
+                    assert memory.delete(key, rule_id)[0]
+            drained = memory.drain_dirty()
+            assert drained is not None
+            keys, homes = drained
+            walks_after = _walk_lengths(memory)
+            best_after = _best_entries(memory, self.KEYS)
+            for key in self.KEYS:
+                found = memory.lookup(key)
+                assert found.entry == best_after[key]
+                assert found.probes == walks_after[found.home]
+            moved_walks = {home for home in range(depth) if walks[home] != walks_after[home]}
+            assert moved_walks <= set(homes)
+            moved_entries = {key for key in self.KEYS if best[key] != best_after[key]}
+            assert moved_entries <= set(keys)
+
+    def test_changed_homes_wrap_past_slot_zero(self):
+        memory = RuleFilterMemory(capacity=32)
+        last = memory.hash_unit.table_size - 1
+        keys = [key for key in range(5000) if memory.hash_unit.hash(key) == last][:3]
+        for rule_id, key in enumerate(keys):
+            memory.insert(key, Rule.build(rule_id, rule_id))
+        # One run homed at the last slot: slots 31, 0 and 1.
+        memory.drain_dirty()
+        memory.delete(keys[0], 0)
+        # The backward shift moves keys 1 and 2 to slots 31 and 0 and frees
+        # slot 1: the walks homed at 31, 0 and 1 each got one probe shorter.
+        assert memory.drain_dirty() == (sorted(keys), [0, 1, last])
+
+    def test_remove_and_reinsert_changes_no_home(self):
+        memory = RuleFilterMemory(capacity=32)
+        keys = [self._key(seed) for seed in range(20)]
+        for rule_id, key in enumerate(keys):
+            memory.insert(key, Rule.build(rule_id, rule_id))
+        memory.drain_dirty()
+        memory.delete(keys[4], 4)
+        memory.insert(keys[4], Rule.build(4, 4))
+        dirty, homes = memory.drain_dirty()
+        assert keys[4] in dirty
+        assert homes == []
+
+    def test_tracking_overflow_is_unbounded(self, monkeypatch):
+        monkeypatch.setattr(RuleFilterMemory, "DIRTY_BUDGET", 1)
+        memory = RuleFilterMemory(capacity=32)
+        memory.insert(self._key(1), Rule.build(0, 0))
+        assert memory.drain_dirty() is None
+        assert memory.drain_dirty() == ([], [])
+
+    @staticmethod
+    def _key(seed: int) -> int:
+        return DEFAULT_LABEL_LAYOUT.pack((seed % 8192, 1, 2, 3, seed % 128, 5, seed % 4))

@@ -9,16 +9,21 @@ behaviour on installs, removes, reconfiguration and combiner-mode switches.
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
+from diff_scenarios import DIFFERENTIAL_SEED
 from repro.api import ClassificationSession, SessionStats, create_classifier
 from repro.core.classifier import ConfigurableClassifier
-from repro.core.config import CombinerMode, IpAlgorithm
+from repro.core.config import ClassifierConfig, CombinerMode, IpAlgorithm
 from repro.exceptions import ConfigurationError
+from repro.hardware.rule_filter import RuleFilterMemory
 from repro.perf import FastPathAccelerator, ParallelSession
 from repro.rules.classbench import ClassBenchGenerator, FilterFlavor
 from repro.rules.rule import Rule, RuleAction
-from repro.rules.trace import generate_trace
+from repro.rules.trace import generate_flow_churn_trace, generate_trace
 
 
 @pytest.fixture(scope="module", params=["acl", "fw", "ipc"])
@@ -156,6 +161,86 @@ class TestCacheInvalidation:
         assert accelerator.cache_stats()["epoch_flushes"] == 0
         classifier.disable_fast_path()
         assert list(fast.results) == list(classifier.classify_batch(trace).results)
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_dirty_overflow_counts_one_epoch_flush(
+        self, small_acl_ruleset, monkeypatch, vectorized
+    ):
+        """A commit the Rule Filter cannot bound is flushed once, and counted."""
+        monkeypatch.setattr(RuleFilterMemory, "DIRTY_BUDGET", 1)
+        trace = generate_trace(small_acl_ruleset, count=500, seed=37)
+        classifier = create_classifier(
+            "configurable", small_acl_ruleset, fast=True, vectorized=vectorized
+        )
+        warm = classifier.classify_batch(trace)
+        accelerator = classifier._fast_path
+        before = accelerator.cache_stats()
+        victim = next(result.rule_id for result in warm if result.rule_id is not None)
+        classifier.control.begin().remove(victim).commit()
+        fast = classifier.classify_batch(trace)
+        after = accelerator.cache_stats()
+        assert after["epoch_flushes"] == before["epoch_flushes"] + 1
+        assert after["scoped_commits"] == before["scoped_commits"]
+        assert list(fast.results) == [classifier.classify(packet) for packet in trace]
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_action_change_reaches_cached_outcomes(self, small_acl_ruleset, vectorized):
+        """Remove + re-insert with a new action: no walk moves, the entry does.
+
+        The re-insert refills the freed slot, so the commit changes no home;
+        outcomes that probed the touched key's home slot must still go.
+        """
+        trace = generate_trace(small_acl_ruleset, count=500, seed=41)
+        classifier = create_classifier(
+            "configurable", small_acl_ruleset, fast=True, vectorized=vectorized
+        )
+        warm = classifier.classify_batch(trace)
+        victim = small_acl_ruleset.get(next(r.rule_id for r in warm if r.rule_id is not None))
+        action = RuleAction.DROP if victim.action is not RuleAction.DROP else RuleAction.FORWARD
+        modified = dataclasses.replace(victim, action=action)
+        classifier.control.begin().remove(victim.rule_id).insert(modified).commit()
+        fast = classifier.classify_batch(trace)
+        assert classifier._fast_path.cache_stats()["epoch_flushes"] == 0
+        assert list(fast.results) == [classifier.classify(packet) for packet in trace]
+        assert any(result.rule_id == victim.rule_id for result in fast)
+
+    @pytest.mark.mutation
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_single_op_commits_stay_warm_and_exact(self, vectorized):
+        """Single remove / re-insert commits keep the fast path warm, bit-exact.
+
+        Every single-op commit net-changes Rule Filter occupancy; only the
+        entries whose probe walks crossed a changed home may go.  A 512-slot
+        filter runs at over half load, so probe runs span several slots and
+        a commit moves the walks of keys other than the touched one.
+        """
+        ruleset = ClassBenchGenerator(FilterFlavor.ACL, seed=DIFFERENTIAL_SEED).generate(300)
+        trace = generate_flow_churn_trace(
+            ruleset, count=9 * 256, seed=DIFFERENTIAL_SEED + 31, flows=512, churn=0.02
+        )
+        batches = [trace[start:start + 256] for start in range(0, len(trace), 256)]
+        config = ClassifierConfig.builder().provisioning(rule_filter_entries=512)
+        classifier = create_classifier(
+            "configurable", ruleset, config=config.build(), fast=True, vectorized=vectorized
+        )
+        warm = classifier.classify_batch(batches[0])
+        accelerator = classifier._fast_path
+        matched = sorted({result.rule_id for result in warm if result.rule_id is not None})
+        victims = random.Random(DIFFERENTIAL_SEED).sample(matched, 4)
+        for commit, batch in enumerate(batches[1:]):
+            victim = ruleset.get(victims[commit // 2])
+            txn = classifier.control.begin()
+            if commit % 2:
+                txn.insert(victim)
+            else:
+                txn.remove(victim.rule_id)
+            txn.commit()
+            stats = accelerator.cache_stats()
+            assert stats["scoped_commits"] == commit + 1
+            assert stats["result_entries"] > 0
+            fast = classifier.classify_batch(batch)
+            assert list(fast.results) == [classifier.classify(packet) for packet in batch]
+            assert accelerator.cache_stats()["epoch_flushes"] == 0
 
     def test_disable_detaches_listeners(self, small_acl_ruleset, small_trace):
         classifier = create_classifier("configurable", small_acl_ruleset, fast=True)
@@ -302,30 +387,47 @@ class TestAdversarialStream:
     def test_dependency_maps_stay_within_budget(
         self, small_acl_ruleset, adversarial_stream, vectorized
     ):
-        """The scoped-invalidation maps overflow to a wholesale flush, not growth."""
+        """The scoped-invalidation maps overflow to a wholesale flush, not growth.
+
+        Single-op commits every few batches keep the maps alive across
+        commits; each commit is either scoped or, after an overflow, ends in
+        exactly one wholesale flush, and results stay bit-exact either way.
+        """
         classifier = ConfigurableClassifier.from_ruleset(small_acl_ruleset)
         accelerator = FastPathAccelerator(classifier, vectorized=vectorized, **self.LIMITS)
         classifier._fast_path = accelerator  # control-plane commits reach it
         budget = 4 * self.LIMITS["header_cache_limit"]
-        for start in range(0, len(adversarial_stream), 32):
-            accelerator.classify_batch(adversarial_stream[start:start + 32])
-            assert accelerator.cache_stats()["dependency_registrations"] <= budget
-            held = sum(map(len, accelerator._combos_by_key.values()))
+        table_size = classifier.rule_filter.hash_unit.table_size
+        victim = small_acl_ruleset.rules()[0]
+        outcomes = set()
+        for index, start in enumerate(range(0, len(adversarial_stream), 32)):
+            batch = adversarial_stream[start:start + 32]
+            committed = index % 4 == 3
+            if committed:
+                before = accelerator.cache_stats()
+                txn = classifier.control.begin()
+                if index % 8 == 3:
+                    txn.remove(victim.rule_id)
+                else:
+                    txn.insert(victim)
+                txn.commit()
+            fast = accelerator.classify_batch(batch)
+            stats = accelerator.cache_stats()
+            assert stats["dependency_registrations"] <= budget
+            assert len(accelerator._combos_by_home) <= table_size
+            held = sum(map(len, accelerator._combos_by_home.values()))
             held += sum(map(len, accelerator._results_by_combo.values()))
             assert held <= budget
-        before = accelerator.cache_stats()
-        assert before["dependency_overflow"] == 1
-        # Overflowed maps cannot scope a commit: it skips the scoped pass and
-        # the next batch flushes wholesale, still bit-exact.
-        victim = small_acl_ruleset.rules()[0]
-        classifier.control.begin().remove(victim.rule_id).insert(victim).commit()
-        tail = adversarial_stream[-200:]
-        fast = classifier.classify_batch(tail)
-        after = accelerator.cache_stats()
-        assert after["scoped_commits"] == before["scoped_commits"]
-        assert after["epoch_flushes"] == before["epoch_flushes"] + 1
-        classifier.disable_fast_path()
-        assert list(fast.results) == list(classifier.classify_batch(tail).results)
+            if not committed:
+                continue
+            # Overflowed maps cannot scope a commit: it skips the scoped pass
+            # and the next batch flushes wholesale, once.
+            overflowed = before["dependency_overflow"]
+            assert stats["epoch_flushes"] == before["epoch_flushes"] + overflowed
+            assert stats["scoped_commits"] == before["scoped_commits"] + 1 - overflowed
+            outcomes.add(overflowed)
+            assert list(fast.results) == [classifier.classify(packet) for packet in batch]
+        assert outcomes == {0, 1}  # both scoped and overflowed commits happened
 
     def test_unbounded_defaults_would_have_grown(self, small_acl_ruleset):
         """Sanity check: the stream really is adversarial (all values unique)."""
