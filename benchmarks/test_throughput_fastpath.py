@@ -11,7 +11,8 @@ throughput, and proves the acceptance criteria:
   per-packet path and the linear-search ground truth on a 10K-packet
   ClassBench trace;
 * fast path **>= 3x** the per-packet throughput on cold caches;
-* vectorized cold path **>= 2x** the plain fast path's cold pass.
+* vectorized cold path **>= 2x** the plain fast path's cold pass, as the
+  median over ``VECTORIZED_REPEATS`` alternating pairs of cold passes.
 
 The measured numbers are recorded in ``BENCH_throughput.json`` at the repo
 root (uploaded as a CI artifact by the benchmark smoke job), including the
@@ -34,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -46,6 +48,9 @@ SPEEDUP_FLOOR = 3.0
 #: Acceptance floor: vectorized cold pass speedup over the plain fast path's
 #: cold pass (the PR 2 configuration).
 VECTORIZED_FLOOR = 2.0
+#: Pairs of cold passes (one per side, alternating which goes first) whose
+#: median ratio is gated on VECTORIZED_FLOOR.
+VECTORIZED_REPEATS = 5
 #: Acceptance ceiling: the update-under-load pass (32 transactional commits
 #: interleaved with the trace) over the cold fast-path pass.  Dependency-aware
 #: partial invalidation keeps commits from flushing the caches wholesale, so
@@ -86,6 +91,7 @@ def test_fastpath_throughput_and_equivalence(acl1k_ruleset):
         "configurable", acl1k_ruleset, vectorized=True
     )
     vec_cold, vec_cold_s = _timed(vectorized_classifier.classify_batch, trace)
+    vec_cold_stats = vectorized_classifier._fast_path.cache_stats()
 
     # Bit-exact equivalence with the per-packet path (the whole point) and
     # with the linear-search ground truth (the paper's oracle).
@@ -101,7 +107,6 @@ def test_fastpath_throughput_and_equivalence(acl1k_ruleset):
 
     cold_speedup = baseline_s / fast_cold_s
     warm_speedup = baseline_s / fast_warm_s
-    vectorized_speedup = fast_cold_s / vec_cold_s
     if not quick and cold_speedup < SPEEDUP_FLOOR:
         # Wall-clock gates are noise-sensitive on loaded/shared runners; the
         # typical cold-cache speedup (~5x) sits well above the floor, so one
@@ -112,13 +117,19 @@ def test_fastpath_throughput_and_equivalence(acl1k_ruleset):
         assert list(retry.results) == list(baseline.results)
         fast_cold_s = min(fast_cold_s, retry_s)
         cold_speedup = baseline_s / fast_cold_s
-        vectorized_speedup = fast_cold_s / vec_cold_s
-    if not quick and vectorized_speedup < VECTORIZED_FLOOR:
-        vectorized_classifier._fast_path.invalidate()
-        retry, retry_s = _timed(vectorized_classifier.classify_batch, trace)
-        assert list(retry.results) == list(baseline.results)
-        vec_cold_s = min(vec_cold_s, retry_s)
-        vectorized_speedup = fast_cold_s / vec_cold_s
+    # One plain/vectorized cold-pass ratio spreads over ~1.8-2.2x on a busy
+    # 2-CPU host, so the floor is gated on the median of repeated pairs, each
+    # timing both sides on freshly invalidated caches.
+    vectorized_ratios = []
+    for repeat in range(VECTORIZED_REPEATS):
+        sides = [classifier, vectorized_classifier]
+        seconds = {}
+        for side in sides if repeat % 2 == 0 else reversed(sides):
+            side._fast_path.invalidate()
+            rerun, seconds[side] = _timed(side.classify_batch, trace)
+            assert list(rerun.results) == list(baseline.results)
+        vectorized_ratios.append(seconds[classifier] / seconds[vectorized_classifier])
+    vectorized_speedup = statistics.median(vectorized_ratios)
     if not quick:
         # The acceptance floors are defined over the full 10K-packet trace;
         # the CI smoke run (shorter trace, cold caches barely amortised)
@@ -128,8 +139,9 @@ def test_fastpath_throughput_and_equivalence(acl1k_ruleset):
             f"{SPEEDUP_FLOOR}x acceptance floor"
         )
         assert vectorized_speedup >= VECTORIZED_FLOOR, (
-            f"vectorized cold path speedup {vectorized_speedup:.2f}x over the "
-            f"plain fast path is below the {VECTORIZED_FLOOR}x acceptance floor"
+            f"vectorized cold path median speedup {vectorized_speedup:.2f}x "
+            f"(pairs: {[round(ratio, 2) for ratio in vectorized_ratios]}) over "
+            f"the plain fast path is below the {VECTORIZED_FLOOR}x acceptance floor"
         )
 
     # Parallel deployment model on top of fast-path replicas: the thread
@@ -289,7 +301,11 @@ def test_fastpath_throughput_and_equivalence(acl1k_ruleset):
             "seconds": round(vec_cold_s, 4),
             "packets_per_second": round(count / vec_cold_s),
             "speedup_vs_per_packet": round(baseline_s / vec_cold_s, 2),
+            # Median, min and max over VECTORIZED_REPEATS pairs of cold passes.
             "speedup_vs_fast_path_cold": round(vectorized_speedup, 2),
+            "speedup_vs_fast_path_cold_min": round(min(vectorized_ratios), 2),
+            "speedup_vs_fast_path_cold_max": round(max(vectorized_ratios), 2),
+            "speedup_pairs": VECTORIZED_REPEATS,
         },
         "fast_path_warm": {
             "seconds": round(fast_warm_s, 4),
@@ -333,7 +349,7 @@ def test_fastpath_throughput_and_equivalence(acl1k_ruleset):
                 for row in depth_result.rows
             ],
         },
-        "cache_stats": vectorized_classifier._fast_path.cache_stats(),
+        "cache_stats": vec_cold_stats,
         "equivalence": {
             "identical_to_per_packet": True,
             "identical_to_linear_search": True,

@@ -30,9 +30,9 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.core.config import CombinerMode
 from repro.exceptions import ConfigurationError
 from repro.hardware.hash_unit import LabelKeyLayout
-from repro.hardware.rule_filter import RuleFilterEntry, RuleFilterMemory
+from repro.hardware.rule_filter import NO_ENTRY, RuleFilterEntry, RuleFilterMemory
 
-try:  # NumPy accelerates the cached cross-product staging; optional.
+try:  # NumPy runs the cached cross-product walk on arrays; optional.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
@@ -124,22 +124,25 @@ class LabelCombiner:
         engine.  ``lists`` is the tuple of per-dimension ``(label, priority)``
         match tuples in :data:`DIMENSIONS` order (exactly the
         ``FieldLookupResult.matches`` the engines produced); ``probe_cache``
-        memoizes the ``(entry, probes, home)`` triple of
-        :meth:`~repro.hardware.rule_filter.RuleFilterMemory.lookup_batch` per
-        packed key and ``sort_memo`` memoizes the priority-sorted form of
+        memoizes the ``(entry, probes, home)`` triple of a rule-filter lookup
+        per packed key and ``sort_memo`` memoizes the priority-sorted form of
         each match list (both are :class:`~repro.perf.lru.BoundedCache`-style
         objects: an exposed ``data`` dict for reads plus an eviction-enforcing
         ``put``).
 
         The returned :class:`CombinerOutcome` — entry, probe count, memory
-        accesses, cycles, truncation — is bit-identical to what
-        :meth:`combine` returns for the same lists: the walk visits the same
-        combinations in the same order with the same priority-bound pruning
-        and probe budget; only the per-probe work is restructured (keys are
-        packed and pre-resolved in blocks through
+        accesses, cycles, truncation — and the probe log are bit-identical to
+        what :meth:`combine` returns for the same lists: the walk probes the
+        same combinations in the same order with the same priority-bound
+        pruning and probe budget; only the per-probe work is restructured.
+        With NumPy, the cross-product walk stages every combination's key and
+        resolves all of them, pruned ones included, through
         :meth:`~repro.hardware.rule_filter.RuleFilterMemory.lookup_batch`,
-        and repeated keys replay the cached lookup instead of re-reading the
-        memory).  Cached replays do not re-touch the rule-filter memory
+        which counts every staged key's reads; it leaves the probe cache
+        alone.  Without NumPy (and for keys wider than 128 bits or products
+        beyond :attr:`STAGE_CAP`) keys are pre-resolved in blocks and
+        repeated keys replay the probe cache instead of re-reading the
+        memory.  Cached replays do not re-touch the rule-filter memory
         counters — the same deviation every fast-path cache layer already
         makes.
         """
@@ -210,9 +213,9 @@ class LabelCombiner:
     ) -> CombinerOutcome:
         """Cache-backed twin of :meth:`_combine_cross_product`.
 
-        Dispatches between the fully-staged array walk (NumPy, product size
-        within :attr:`STAGE_CAP`) and the streamed block walk; both visit the
-        identical combination order with identical accounting.
+        Dispatches between the array walk (NumPy, product size within
+        :attr:`STAGE_CAP`) and the streamed block walk; both return the
+        outcome and probe log the sequential walk would.
         """
         records = [
             self._staging_record(dimension, entries, sort_memo)
@@ -224,105 +227,107 @@ class LabelCombiner:
         if _np is not None and self.layout.total_bits <= 128:
             total = math.prod(len(one) for one in ordered)
             if total <= self.STAGE_CAP:
-                return self._walk_fully_staged(records, ordered, probe_cache, probe_log)
+                outcome = self._walk_staged(records, ordered, probe_log)
+                if outcome is not None:
+                    return outcome
         return self._walk_blocks(ordered, probe_cache, probe_log)
 
-    def _walk_fully_staged(
-        self, records, ordered, probe_cache, probe_log: Optional[list] = None
-    ) -> CombinerOutcome:
-        """Array-staged cross-product walk: bounds and key limbs via broadcasting."""
-        dims = len(records)
-        bounds = low = high = None
-        for dimension, (_, priorities, low_d, high_d) in enumerate(records):
-            shape = [1] * dims
-            shape[dimension] = len(priorities)
-            part = priorities.reshape(shape)
-            bounds = part if bounds is None else _np.maximum(bounds, part)
-            part = low_d.reshape(shape)
-            low = part if low is None else _np.bitwise_or(low, part)
+    def _walk_staged(
+        self, records, ordered, probe_log: Optional[list] = None
+    ) -> Optional[CombinerOutcome]:
+        """Array cross-product walk: each chunk resolved in one ``lookup_batch``.
+
+        Combination *i* is probed iff its bound is below the best entry
+        priority among *all* combinations before it, a prefix minimum.  That
+        equals the sequential walk's running best unless a pruned combination
+        holds a better entry, which the label priorities rule out (each is
+        the best priority of any rule using the label, so an entry's priority
+        is at least its combination's bound).  The walk checks this as it
+        goes and returns ``None`` when it fails, for the caller to run the
+        block walk instead.  Chunks of at most ``probe_budget`` combinations
+        carry the running best; the probe log is appended once the walk is
+        final.
+        """
+        # Bounds and key limbs in product order (the last dimension varies
+        # fastest), broadcast over the dimensions with several labels;
+        # single-label dimensions fold in as scalars.
+        shifts = self._key_shifts
+        bound = -(1 << 63)
+        key = 0
+        varied = []
+        for dimension, record in enumerate(records):
+            if len(record[0]) == 1:
+                label, priority = record[0][0]
+                bound = max(bound, priority)
+                key |= label << shifts[dimension]
+            else:
+                varied.append(record)
+        shape = tuple(len(record[0]) for record in varied)
+        bounds = _np.full(shape, bound, dtype=_np.int64)
+        low = _np.full(shape, key & 0xFFFFFFFFFFFFFFFF, dtype=_np.uint64)
+        high = _np.full(shape, key >> 64, dtype=_np.uint64)
+        for axis, (_, priorities, low_d, high_d) in enumerate(varied):
+            view = [1] * len(varied)
+            view[axis] = -1
+            _np.maximum(bounds, priorities.reshape(view), out=bounds)
+            low |= low_d.reshape(view)
             if high_d is not None:
-                part = high_d.reshape(shape)
-                high = part if high is None else _np.bitwise_or(high, part)
-        bounds = _np.broadcast_to(bounds, low.shape) if bounds.shape != low.shape else bounds
-        bound_list = bounds.ravel().tolist()
-        low_list = low.ravel().tolist()
-        high_list = (
-            _np.broadcast_to(high, low.shape).ravel().tolist() if high is not None else None
-        )
-        total = len(bound_list)
-        probe_data = probe_cache.data
-        probe_get = probe_data.get
-        lookup_batch = self.rule_filter.lookup_batch
+                high |= high_d.reshape(view)
+        bounds, low, high = bounds.ravel(), low.ravel(), high.ravel()
+        rule_filter = self.rule_filter
         budget = self.probe_budget
-        block_size = self.PROBE_BLOCK
         best: Optional[RuleFilterEntry] = None
-        best_priority = 0
+        best_priority = NO_ENTRY
         probes = 0
         accesses = 0
-        start = 0
-        while start < total:
-            end = min(start + block_size, total)
-            # Materialise this block's keys (pruned combinations excluded —
-            # pruning is monotone, see the block walk) and resolve misses in
-            # one batch.
-            block_keys = [0] * (end - start)
-            misses = []
-            miss = misses.append
-            unpruned = best is None
-            for offset, index in enumerate(range(start, end)):
-                if not unpruned and bound_list[index] >= best_priority:
-                    continue
-                key = low_list[index]
-                if high_list is not None:
-                    key |= high_list[index] << 64
-                block_keys[offset] = key
-                if key not in probe_data:
-                    miss(key)
-            if misses:
-                # Resolve no more than the cache can hold: the excess would
-                # evict keys resolved in this very batch before the walk
-                # reads them, re-reading (and re-counting) their probes.
-                # The remainder resolves one-by-one in the walk's fallback.
-                probe_cache.put_many(lookup_batch(misses[: probe_cache.limit]))
-            for offset, index in enumerate(range(start, end)):
-                if best is not None and bound_list[index] >= best_priority:
-                    continue
-                key = block_keys[offset]
-                hit = probe_get(key)
-                if hit is None:
-                    # Evicted mid-block under a tiny probe-cache limit.
-                    lookup = self.rule_filter.lookup(key)
-                    hit = (lookup.entry, lookup.probes, lookup.home)
-                    probe_cache.put(key, hit)
-                probes += 1
-                entry, cost, home = hit
-                if probe_log is not None:
-                    probe_log.append(home)
-                accesses += cost
-                if entry is not None and (best is None or entry.priority < best_priority):
-                    best = entry
-                    best_priority = entry.priority
-                if probes >= budget:
-                    tail = itertools.islice(itertools.product(*ordered), index + 1, None)
-                    return CombinerOutcome(
-                        entry=best,
-                        probes=probes,
-                        memory_accesses=accesses,
-                        cycles=1 + probes,
-                        truncated=self._tail_has_candidates(tail, best),
-                    )
-            start = end
+        homes = []
+        truncated = False
+        for start in range(0, bounds.size, budget):
+            chunk = slice(start, start + budget)
+            found = rule_filter.lookup_batch(low[chunk], high[chunk])
+            priorities = found.priorities
+            before = _np.minimum.accumulate(
+                _np.concatenate(([best_priority], priorities[:-1]))
+            )
+            probed = bounds[chunk] < before
+            if (~probed & (priorities < before)).any():
+                return None  # a pruned combination holds a better entry
+            taken = _np.flatnonzero(probed)[: budget - probes]
+            if taken.size:
+                probes += taken.size
+                accesses += int(found.probes[taken].sum())
+                homes.append(found.homes[taken])
+                pick = taken[priorities[taken].argmin()]
+                if priorities[pick] < best_priority:
+                    best = rule_filter.entry_at(int(found.slots[pick]))
+                    best_priority = best.priority
+            if probes >= budget:
+                tail = itertools.product(*ordered)
+                tail = itertools.islice(tail, start + int(taken[-1]) + 1, None)
+                truncated = self._tail_has_candidates(tail, best)
+                break
+        if probe_log is not None:
+            for part in homes:
+                probe_log.extend(part.tolist())
         return CombinerOutcome(
-            entry=best, probes=probes, memory_accesses=accesses, cycles=1 + probes
+            entry=best,
+            probes=probes,
+            memory_accesses=accesses,
+            cycles=1 + probes,
+            truncated=truncated,
         )
 
     def _walk_blocks(
         self, ordered, probe_cache, probe_log: Optional[list] = None
     ) -> CombinerOutcome:
-        """Streamed block walk (no NumPy, or product beyond :attr:`STAGE_CAP`)."""
+        """Streamed block walk through the probe cache.
+
+        Runs without NumPy, for keys wider than 128 bits, for products beyond
+        :attr:`STAGE_CAP`, and when the array walk's check fails.
+        """
         combinations = itertools.product(*ordered)
         s0, s1, s2, s3, s4, s5, s6 = self._key_shifts
-        lookup_batch = self.rule_filter.lookup_batch
+        lookup_many = self.rule_filter._lookup_many
         probe_data = probe_cache.data
         probe_get = probe_data.get
         budget = self.probe_budget
@@ -376,7 +381,7 @@ class LabelCombiner:
                 # evict keys resolved in this very batch before the walk
                 # reads them, re-reading (and re-counting) their probes.
                 # The remainder resolves one-by-one in the walk's fallback.
-                probe_cache.put_many(lookup_batch(misses[: probe_cache.limit]))
+                probe_cache.put_many(lookup_many(misses[: probe_cache.limit]))
             # The walk itself: identical visit order, pruning, accounting and
             # budget semantics as the uncached cross-product loop.
             for index, (bound, key) in enumerate(staged):

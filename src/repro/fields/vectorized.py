@@ -41,7 +41,6 @@ from repro.fields.base import FieldLookupResult, SingleFieldEngine
 from repro.fields.binary_search_tree import BinarySearchTree
 from repro.fields.multibit_trie import MultibitTrie
 from repro.fields.port_registers import PortRegisterFile
-from repro.labels.label_list import LabelList
 
 try:  # pragma: no cover - exercised implicitly by every numpy walker test
     import numpy as _np
@@ -130,8 +129,8 @@ class TrieBatchWalker(BatchWalker):
     The flat view assigns each trie node a dense id per level and stores, per
     level, one child table ``table[node_id * (1 << stride) + branch] ->
     child_id`` (``-1`` for no child) plus the node's *cumulative* match tuple
-    — the labels collected from the root down to that node, merged through
-    :class:`LabelList` in exactly the order the scalar lookup merges them.  A
+    — the labels collected from the root down to that node, merged as the
+    scalar lookup's :class:`~repro.labels.label_list.LabelList` merges them.  A
     batch lookup then needs only ``levels`` gather steps to find each value's
     terminal node (and its traversal depth, which is the access count).
     """
@@ -140,10 +139,8 @@ class TrieBatchWalker(BatchWalker):
         trie: MultibitTrie = self.engine
         self._width = trie.width
         self._strides = trie.strides
-        root_matches = LabelList()
-        for label, priority in trie.root.labels.pairs():
-            root_matches.add(label, priority)
-        self._matches: List[List[tuple]] = [[tuple(root_matches.pairs())]]
+        root_matches = tuple(trie.root.labels.pairs())
+        self._matches: List[List[tuple]] = [[root_matches]]
         tables: List[list] = []
         frontier = [(trie.root, root_matches)]
         for stride in trie.strides:
@@ -154,15 +151,10 @@ class TrieBatchWalker(BatchWalker):
             for node_id, (node, cumulative) in enumerate(frontier):
                 base = node_id * branch_count
                 for branch, child in node.children.items():
-                    child_id = len(next_frontier)
-                    table[base + branch] = child_id
-                    merged = LabelList()
-                    for label, priority in cumulative.pairs():
-                        merged.add(label, priority)
-                    for label, priority in child.labels.pairs():
-                        merged.add(label, priority)
+                    table[base + branch] = len(next_frontier)
+                    merged = _merge_matches(cumulative, child.labels.pairs())
                     next_frontier.append((child, merged))
-                    level_matches.append(tuple(merged.pairs()))
+                    level_matches.append(merged)
             tables.append(table)
             self._matches.append(level_matches)
             frontier = next_frontier
@@ -398,6 +390,22 @@ class PortBatchWalker(BatchWalker):
             )
             for value in values
         ]
+
+
+def _merge_matches(cumulative: tuple, pairs) -> tuple:
+    """The :class:`~repro.labels.label_list.LabelList` merge of two pair sequences.
+
+    Each label keeps its best (smallest) priority and the result is sorted by
+    ``(priority, label)``, the list's own order — one dict pass and one sort
+    instead of a scan and an insort per pair.
+    """
+    if not pairs:
+        return cumulative
+    best = dict(cumulative)
+    for label, priority in pairs:
+        if priority < best.get(label, priority + 1):
+            best[label] = priority
+    return tuple(sorted(best.items(), key=lambda pair: (pair[1], pair[0])))
 
 
 def batch_walker(engine: SingleFieldEngine, use_numpy: Optional[bool] = None) -> BatchWalker:

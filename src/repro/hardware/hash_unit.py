@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 
-try:  # NumPy accelerates hash_batch; the scalar path needs nothing.
+try:  # NumPy backs hash_batch and hash_limbs; the scalar path needs nothing.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
@@ -157,24 +157,39 @@ class HashUnit:
     def hash_batch(self, keys: Sequence[int]) -> List[int]:
         """Vectorized :meth:`hash` over many keys (bit-identical per key).
 
-        The splitmix-style mixing runs as NumPy ``uint64`` arithmetic (which
-        wraps modulo 2**64 exactly like the masked Python arithmetic) when
-        NumPy is available and the batch is big enough to amortise the array
-        round-trip; otherwise it falls back to per-key :meth:`hash`.  Callers
-        pass packed label keys, which are non-negative by construction.
+        Keys are split into two 64-bit limbs and mixed by :meth:`hash_limbs`
+        when NumPy is available and the batch is big enough to amortise the
+        array round-trip; otherwise it falls back to per-key :meth:`hash`.
+        Callers pass packed label keys, which are non-negative by
+        construction.
         """
         if _np is None or len(keys) < 32:
             return [self.hash(key) for key in keys]
         mask64 = 0xFFFFFFFFFFFFFFFF
         count = len(keys)
-        value = _np.fromiter((key & mask64 for key in keys), dtype=_np.uint64, count=count)
-        value ^= _np.fromiter((key >> 64 for key in keys), dtype=_np.uint64, count=count)
+        low = _np.fromiter((key & mask64 for key in keys), dtype=_np.uint64, count=count)
+        # hash() folds every bit above 63 in before a multiply masked to 64
+        # bits, so only the low 64 bits of ``key >> 64`` reach the slot.
+        high = _np.fromiter(
+            ((key >> 64) & mask64 for key in keys), dtype=_np.uint64, count=count
+        )
+        return self.hash_limbs(low, high).tolist()
+
+    def hash_limbs(self, low, high):
+        """:meth:`hash` over NumPy ``uint64`` limb arrays, as ``int64`` slots.
+
+        ``low`` holds bits 0-63 of each key and ``high`` its bits 64-127 (the
+        low 64 bits of ``key >> 64``).  The splitmix-style mixing runs as
+        ``uint64`` arithmetic, which wraps modulo 2**64 exactly like the
+        masked Python arithmetic of :meth:`hash`.
+        """
+        value = low ^ high
         value *= _np.uint64(self._MULTIPLIER)
         value ^= value >> _np.uint64(29)
         value *= _np.uint64(0xBF58476D1CE4E5B9)
         value ^= value >> _np.uint64(32)
         value &= _np.uint64(self.table_size - 1)
-        return value.tolist()
+        return value.astype(_np.int64)
 
     def probe_sequence(self, key: int, limit: int):
         """Yield the first ``limit`` linear-probing slots for ``key``.

@@ -15,7 +15,7 @@ the memory-access accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.exceptions import CapacityError, MemoryModelError
 from repro.hardware.hash_unit import HashUnit
@@ -23,7 +23,23 @@ from repro.hardware.memory import MemoryBlock
 from repro.observers import MutationEpoch
 from repro.rules.rule import Rule
 
-__all__ = ["RuleFilterEntry", "RuleFilterLookup", "RuleFilterMemory"]
+try:  # NumPy backs lookup_batch; the scalar paths need nothing.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised on numpy-free installs
+    _np = None
+
+__all__ = [
+    "NO_ENTRY",
+    "RuleFilterBatch",
+    "RuleFilterEntry",
+    "RuleFilterLookup",
+    "RuleFilterMemory",
+]
+
+#: Priority :meth:`RuleFilterMemory.lookup_batch` reports for a key with no
+#: stored entry (the largest ``int64``, above every rule priority).
+NO_ENTRY = (1 << 63) - 1
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -45,6 +61,20 @@ class RuleFilterLookup:
     memory_accesses: int
     #: Home slot of the key (its hash): where the probe walk started.
     home: int
+
+
+class RuleFilterBatch(NamedTuple):
+    """Per-key NumPy arrays of one :meth:`RuleFilterMemory.lookup_batch` call."""
+
+    #: Slot of each key's best entry (``-1``: no entry under the key); read
+    #: the entry through :meth:`RuleFilterMemory.entry_at`.
+    slots: object
+    #: Priority of each key's best entry, :data:`NO_ENTRY` when there is none.
+    priorities: object
+    #: Probes of each key's walk (one memory access each).
+    probes: object
+    #: Home slot of each key.
+    homes: object
 
 
 class RuleFilterMemory(MutationEpoch):
@@ -93,6 +123,19 @@ class RuleFilterMemory(MutationEpoch):
         self._dirty_keys: set = set()
         self._occupancy_origin: dict = {}
         self._dirty_overflow = False
+        # Array mirror of the slots for lookup_batch (NumPy only): per slot
+        # the stored key's two 64-bit limbs, its priority (NO_ENTRY for an
+        # empty slot, or a key wider than 128 bits that no limb pair names)
+        # and its occupancy.  Kept current at every memory write and clear;
+        # the per-home walk lengths derived from it are recomputed on the
+        # first batch lookup after an epoch bump.
+        if _np is not None:
+            depth = self.memory.depth
+            self._slot_low = _np.zeros(depth, dtype=_np.uint64)
+            self._slot_high = _np.zeros(depth, dtype=_np.uint64)
+            self._slot_priority = _np.full(depth, NO_ENTRY, dtype=_np.int64)
+            self._slot_occupied = _np.zeros(depth, dtype=bool)
+        self._walks: Optional[tuple] = None
 
     # -- capacity -----------------------------------------------------------
     @property
@@ -172,6 +215,18 @@ class RuleFilterMemory(MutationEpoch):
         self._dirty_keys.clear()
         self._occupancy_origin.clear()
 
+    def _mirror(self, slot: int, entry: Optional[RuleFilterEntry]) -> None:
+        """Copy a write (``entry``) or clear (``None``) of ``slot`` into the arrays."""
+        if _np is None:
+            return
+        self._slot_occupied[slot] = entry is not None
+        if entry is None or entry.label_key >> 128:
+            self._slot_priority[slot] = NO_ENTRY
+        else:
+            self._slot_low[slot] = entry.label_key & _MASK64
+            self._slot_high[slot] = entry.label_key >> 64
+            self._slot_priority[slot] = entry.priority
+
     # -- update path -----------------------------------------------------------
     def insert(self, label_key: int, rule: Rule) -> Tuple[int, int]:
         """Store ``rule`` under ``label_key``.
@@ -197,6 +252,7 @@ class RuleFilterMemory(MutationEpoch):
             accesses += 1
             if occupant is None:
                 self.memory.write(slot, entry)
+                self._mirror(slot, entry)
                 accesses += 1
                 self._stored += 1
                 self._note_entry_key(label_key)
@@ -229,6 +285,7 @@ class RuleFilterMemory(MutationEpoch):
         self._note_entry_key(label_key)
         self._note_occupancy(target_slot, was_occupied=True)
         self.memory.clear(target_slot)
+        self._mirror(target_slot, None)
         accesses += 1
         self._stored -= 1
         # Re-insert the tail of the probe chain so no lookup hits the hole.
@@ -239,6 +296,7 @@ class RuleFilterMemory(MutationEpoch):
             self._note_entry_key(occupant.label_key)
             self._note_occupancy(slot, was_occupied=True)
             self.memory.clear(slot)
+            self._mirror(slot, None)
             accesses += 1
             self._stored -= 1
         for _, occupant in chain:
@@ -266,19 +324,79 @@ class RuleFilterMemory(MutationEpoch):
         # Every probe is one memory access.
         return RuleFilterLookup(entry=best, probes=probes, memory_accesses=probes, home=home)
 
-    def lookup_batch(self, label_keys) -> dict:
+    def lookup_batch(self, low, high) -> RuleFilterBatch:
+        """Array :meth:`lookup` of many keys given as 64-bit limbs (NumPy only).
+
+        ``low`` and ``high`` are equal-length ``uint64`` arrays holding bits
+        0-63 and 64-127 of each key.  Per key, the returned arrays carry
+        exactly what :meth:`lookup` would report: the slot of the best entry
+        (the first one in walk order among equal priorities), its priority,
+        the probe count (``memory_accesses == probes``) and the home slot.
+        Every key is resolved and its reads are counted, in one bulk
+        :meth:`~repro.hardware.memory.MemoryBlock.count_reads` call, whether
+        or not the caller goes on to consume it.
+        """
+        homes = self.hash_unit.hash_limbs(low, high)
+        lengths, spans = self._walk_lengths()
+        probes = lengths[homes]
+        span = spans[homes]
+        slots = _np.full(len(homes), -1, dtype=_np.int64)
+        scanned = int(span.sum())
+        if scanned:
+            # One row per occupied slot a walk reads before its terminator.
+            owner = _np.repeat(_np.arange(len(homes)), span)
+            offset = _np.arange(scanned) - (_np.cumsum(span) - span)[owner]
+            slot = (homes[owner] + offset) & (self.memory.depth - 1)
+            priority = self._slot_priority[slot]
+            hit = _np.flatnonzero(
+                (self._slot_low[slot] == low[owner])
+                & (self._slot_high[slot] == high[owner])
+                & (priority != NO_ENTRY)
+            )
+            if hit.size:
+                # Best priority per key; the stable sort keeps walk order
+                # among equal priorities, as lookup()'s strict < does.
+                hit = hit[_np.lexsort((priority[hit], owner[hit]))]
+                keys = owner[hit]
+                first = _np.ones(hit.size, dtype=bool)
+                first[1:] = keys[1:] != keys[:-1]
+                slots[keys[first]] = slot[hit[first]]
+        priorities = _np.where(slots >= 0, self._slot_priority[slots], NO_ENTRY)
+        self.memory.count_reads(int(probes.sum()))
+        return RuleFilterBatch(slots, priorities, probes, homes)
+
+    def _walk_lengths(self):
+        """Per-home probe count and occupied-run length, current to the epoch."""
+        epoch = self.mutation_epoch
+        if self._walks is None or self._walks[0] != epoch:
+            depth = self.memory.depth
+            empty = _np.flatnonzero(~self._slot_occupied)
+            if empty.size:
+                homes = _np.arange(depth)
+                # The first empty slot at or after each home, wrapping past
+                # the last slot; the walk reads up to and including it.
+                ends = _np.append(empty, empty[0] + depth)[_np.searchsorted(empty, homes)]
+                spans = ends - homes
+                lengths = spans + 1
+            else:
+                # A full table: every walk reads all depth slots, no terminator.
+                spans = lengths = _np.full(depth, depth)
+            self._walks = (epoch, lengths, spans)
+        return self._walks[1:]
+
+    def entry_at(self, slot: int) -> Optional[RuleFilterEntry]:
+        """The entry at a slot :meth:`lookup_batch` reported (its read is counted)."""
+        return self.memory.peek(slot)
+
+    def _lookup_many(self, label_keys) -> dict:
         """Resolve many keys in one pass: ``{key: (entry, probes, home)}``.
 
-        The compact batch form of :meth:`lookup`: per key, ``entry``,
-        ``probes`` and ``home`` are exactly what :meth:`lookup` would report,
-        and — as in :meth:`lookup`, where every probe is one memory access —
-        ``memory_accesses == probes``, so the triple carries the full
-        :class:`RuleFilterLookup` information without constructing one record
-        per key.  Duplicate keys are resolved once.  The memory's read
+        The dict form of :meth:`lookup` for any key width, used by the
+        combiner's block walk: per key, ``entry``, ``probes`` and ``home``
+        are exactly what :meth:`lookup` would report, and ``memory_accesses
+        == probes``.  Duplicate keys are resolved once.  The memory's read
         counter is updated in one bulk
-        :meth:`~repro.hardware.memory.MemoryBlock.count_reads` call instead
-        of per probe, which is what makes this the cold-path workhorse of the
-        :mod:`repro.perf` vectorized batch engine.
+        :meth:`~repro.hardware.memory.MemoryBlock.count_reads` call.
         """
         keys = label_keys if isinstance(label_keys, list) else list(label_keys)
         reader = self.memory.batch_reader()

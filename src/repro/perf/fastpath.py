@@ -37,9 +37,11 @@ field values per dimension and resolves them in one pass through the
 :mod:`repro.fields.vectorized` batch walkers (NumPy when available), then
 resolves combiner misses through
 :meth:`~repro.core.label_combiner.LabelCombiner.combine_with_cache` — an
-exact cross-product walk that pre-packs keys in blocks and replays repeated
-rule-filter probes from a fifth, key-level **probe cache**.  The vectorized
-mode materialises its input batch (chunked callers — sessions — bound this).
+exact cross-product walk that, with NumPy, resolves every combination's key
+in one array rule-filter lookup.  Without NumPy it pre-packs keys in blocks
+and replays repeated rule-filter probes from a fifth, key-level **probe
+cache** (which stays empty when NumPy is present).  The vectorized mode
+materialises its input batch (chunked callers — sessions — bound this).
 
 Results are *bit-exact* with the per-packet path in every mode: every cached
 object is immutable and deterministic given the installed rules, and the

@@ -5,7 +5,8 @@ every input value, ``batch_walker(engine).resolve(values)`` must equal
 ``[engine.lookup(v) for v in values]`` — matches, ordering, access counts
 and cycles — in both the NumPy and the pure-Python implementations.  Also
 covers walker invalidation on engine mutation, the batched hash/rule-filter
-primitives, and the bounded cache types.
+primitives, the array combiner walk against the sequential one, and the
+bounded cache types.
 """
 
 from __future__ import annotations
@@ -13,9 +14,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import create_classifier
+from repro.core.config import CombinerMode
 from repro.core.dimensions import DIMENSIONS
+from repro.core.label_combiner import LabelCombiner
 from repro.exceptions import ConfigurationError, FieldLookupError
 from repro.fields.vectorized import (
     HAVE_NUMPY,
@@ -23,10 +28,14 @@ from repro.fields.vectorized import (
     PortBatchWalker,
     ScalarBatchWalker,
     TrieBatchWalker,
+    _merge_matches,
     batch_walker,
 )
-from repro.hardware.hash_unit import HashUnit
+from repro.hardware.hash_unit import DEFAULT_LABEL_LAYOUT, HashUnit, LabelKeyLayout
+from repro.hardware.rule_filter import RuleFilterMemory
+from repro.labels.label_list import LabelList
 from repro.perf.lru import BoundedCache, LRUCache
+from repro.rules.rule import Rule, RuleAction
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -122,6 +131,20 @@ class TestWalkerEquivalence:
         walker.detach()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    first=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 5)), max_size=10),
+    second=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 5)), max_size=10),
+)
+def test_trie_match_merge_equals_label_list(first, second):
+    """The trie rebuild's dict merge against the LabelList merge it replaced."""
+    reference = LabelList(first)
+    for label, priority in LabelList(second).pairs():
+        reference.add(label, priority)
+    merged = _merge_matches(tuple(LabelList(first).pairs()), LabelList(second).pairs())
+    assert merged == tuple(reference.pairs())
+
+
 class TestBatchedHashAndFilter:
     def test_hash_batch_bit_exact(self):
         unit = HashUnit(table_bits=14)
@@ -140,7 +163,7 @@ class TestBatchedHashAndFilter:
         stored_keys = [entry.label_key for entry in rule_filter.entries()][:200]
         rng = random.Random(11)
         keys = stored_keys + [rng.getrandbits(68) for _ in range(200)]
-        batch = rule_filter.lookup_batch(keys + keys)  # duplicates resolved once
+        batch = rule_filter._lookup_many(keys + keys)  # duplicates resolved once
         assert set(batch) == set(keys)
         for key in keys:
             single = rule_filter.lookup(key)
@@ -157,11 +180,36 @@ class TestBatchedHashAndFilter:
         rule_filter = classifier.rule_filter
         keys = [entry.label_key for entry in rule_filter.entries()][:64]
         rule_filter.memory.reset_counters()
-        batch = rule_filter.lookup_batch(keys)
+        batch = rule_filter._lookup_many(keys)
         bulk_reads = rule_filter.memory.counter.reads
         assert bulk_reads == sum(probes for _, probes, _ in batch.values())
         for key, (_, _, home) in batch.items():
             assert home == rule_filter.lookup(key).home
+
+
+def _assert_cached_walk_exact(layout):
+    """``combine_with_cache`` equals ``combine`` on random lists under ``layout``."""
+    rule_filter = RuleFilterMemory(capacity=1024)
+    combiner = LabelCombiner(rule_filter, layout, mode=CombinerMode.CROSS_PRODUCT)
+    rng = random.Random(12)
+    widths = layout.field_widths()
+    lists = tuple(
+        tuple(
+            (rng.randrange(1 << widths[dim]), rng.randrange(50))
+            for _ in range(3)
+        )
+        for dim in range(len(DIMENSIONS))
+    )
+    # Store rules under a handful of the reachable combinations.
+    for rule_id in range(12):
+        labels = [rng.choice(entries)[0] for entries in lists]
+        rule_filter.insert(
+            layout.pack(labels),
+            Rule.build(rule_id, rng.randrange(50), action=RuleAction.DROP),
+        )
+    reference = combiner.combine(dict(zip(DIMENSIONS, lists)))
+    cached = combiner.combine_with_cache(lists, BoundedCache(512), BoundedCache(64))
+    assert cached == reference
 
 
 class TestWideLayoutStaging:
@@ -173,37 +221,138 @@ class TestWideLayoutStaging:
         entirely in the high limb (shifting a uint64 by >= 64 is undefined),
         and the result must match the uncached combine() walk.
         """
-        import random
-
-        from repro.core.config import CombinerMode
-        from repro.core.label_combiner import DIMENSIONS, LabelCombiner
-        from repro.hardware.hash_unit import LabelKeyLayout
-        from repro.hardware.rule_filter import RuleFilterMemory
-        from repro.rules.rule import Rule, RuleAction
-
         layout = LabelKeyLayout(ip_label_bits=17)
         assert layout.total_bits == 84
-        rule_filter = RuleFilterMemory(capacity=1024)
-        combiner = LabelCombiner(rule_filter, layout, mode=CombinerMode.CROSS_PRODUCT)
-        rng = random.Random(12)
-        widths = layout.field_widths()
+        _assert_cached_walk_exact(layout)
+
+    def test_layouts_wider_than_128_bits(self):
+        """132-bit keys take the block walk, whose batched hash must not overflow."""
+        layout = LabelKeyLayout(ip_label_bits=29)
+        assert layout.total_bits == 132
+        _assert_cached_walk_exact(layout)
+        unit = HashUnit(table_bits=10)
+        rng = random.Random(13)
+        keys = [rng.getrandbits(132) for _ in range(40)]
+        assert unit.hash_batch(keys) == [unit.hash(key) for key in keys]
+
+
+def _walk_both(combiner, lists, probe_cache):
+    """Run ``combine`` and ``combine_with_cache``; return both outcomes and logs."""
+    reference_log, cached_log = [], []
+    reference = combiner.combine(dict(zip(DIMENSIONS, lists)), reference_log)
+    cached = combiner.combine_with_cache(lists, probe_cache, BoundedCache(64), cached_log)
+    return (reference, reference_log), (cached, cached_log)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the array walk needs NumPy")
+class TestArrayCombinerWalk:
+    """The NumPy prefix-minimum walk against the sequential ``combine`` walk.
+
+    The array walk leaves the probe cache empty; only the block walk it
+    falls back to fills it, which is how these tests tell the two apart.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=7, max_size=7),
+        rules=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 3), min_size=7, max_size=7), st.integers(0, 40)
+            ),
+            max_size=24,
+        ),
+        filler=st.integers(0, 8),
+        table_bits=st.sampled_from([5, 6]),
+        budget=st.sampled_from([1, 2, 3, 7, 4096]),
+        consistent=st.booleans(),
+        seed=st.integers(0, 1 << 16),
+    )
+    def test_equals_combine(
+        self, sizes, rules, filler, table_bits, budget, consistent, seed
+    ):
+        """High-load tables, truncating budgets and multi-chunk products.
+
+        ``consistent`` label priorities are the best priority of any rule
+        using the label (what the label tables maintain), so the array walk
+        must run to the end; arbitrary ones may force the fallback.
+        """
+        rng = random.Random(seed)
+        layout = DEFAULT_LABEL_LAYOUT
+        rule_filter = RuleFilterMemory(capacity=1 << table_bits)
+        combiner = LabelCombiner(rule_filter, layout, probe_budget=budget)
+        best = [dict() for _ in DIMENSIONS]
+        for rule_id, (picks, priority) in enumerate(rules):
+            labels = [pick % size for pick, size in zip(picks, sizes)]
+            rule_filter.insert(layout.pack(labels), Rule.build(rule_id, priority))
+            for dim, label in enumerate(labels):
+                best[dim][label] = min(priority, best[dim].get(label, priority))
+        for rule_id in range(len(rules), len(rules) + filler):
+            # Unreachable keys (no list holds label 5) that only add load.
+            labels = [5, rule_id] + [0] * 5
+            rule_filter.insert(layout.pack(labels), Rule.build(rule_id, rule_id))
         lists = tuple(
             tuple(
-                (rng.randrange(1 << widths[dim]), rng.randrange(50))
-                for _ in range(3)
+                (label, best[dim].get(label, 41) if consistent else rng.randrange(42))
+                for label in range(size)
             )
-            for dim in range(len(DIMENSIONS))
+            for dim, size in enumerate(sizes)
         )
-        # Store rules under a handful of the reachable combinations.
-        for rule_id in range(12):
-            labels = [rng.choice(entries)[0] for entries in lists]
-            rule_filter.insert(
-                layout.pack(labels),
-                Rule.build(rule_id, rng.randrange(50), action=RuleAction.DROP),
-            )
-        reference = combiner.combine(dict(zip(DIMENSIONS, lists)))
-        cached = combiner.combine_with_cache(lists, BoundedCache(512), BoundedCache(64))
+        probe_cache = BoundedCache(4096)
+        reference, cached = _walk_both(combiner, lists, probe_cache)
         assert cached == reference
+        if consistent:
+            assert len(probe_cache) == 0
+
+    def test_product_spanning_several_chunks(self):
+        rule_filter = RuleFilterMemory(capacity=64)
+        combiner = LabelCombiner(rule_filter, DEFAULT_LABEL_LAYOUT, probe_budget=10)
+        lists = [((0, 0),)] * 4 + [tuple((label, label) for label in range(4))] * 3
+        rule_filter.insert(DEFAULT_LABEL_LAYOUT.pack([0] * 7), Rule.build(1, 0))
+        probe_cache = BoundedCache(4096)
+        reference, cached = _walk_both(combiner, tuple(lists), probe_cache)
+        assert cached == reference
+        # 64 combinations in chunks of 10: the first hit prunes all the rest.
+        assert cached[0].probes == 1 and not cached[0].truncated
+        assert len(probe_cache) == 0
+
+    def test_budget_reached_in_a_later_chunk(self):
+        """The second chunk may hold more live combinations than budget left.
+
+        Chunks of 3: (0,0) bound 0 hits priority 5, (0,1) bound 0 misses,
+        (0,2) bound 8 is pruned; then (1,0) and (1,1), both bound 0, are live
+        but only one probe of the budget remains.
+        """
+        layout = DEFAULT_LABEL_LAYOUT
+        rule_filter = RuleFilterMemory(capacity=64)
+        combiner = LabelCombiner(rule_filter, layout, probe_budget=3)
+        rule_filter.insert(layout.pack([0] * 7), Rule.build(1, 5))
+        lists = (((0, 0), (1, 0)), ((0, 0), (1, 0), (2, 8))) + (((0, 0),),) * 5
+        reference, cached = _walk_both(combiner, lists, BoundedCache(4096))
+        assert cached == reference
+        assert reference[0].probes == 3 and reference[0].truncated
+
+    def test_pruned_better_entry_forces_the_block_walk(self):
+        """A rule below its labels' priorities breaks the prefix-minimum walk.
+
+        Product order is (1,1) bound 1, (1,2) bound 5, (2,1) bound 2, (2,2)
+        bound 5.  The sequential walk probes (1,1) (priority 4), prunes (1,2)
+        and probes (2,1) (priority 3).  A prefix minimum over every
+        combination would count (1,2)'s priority-1 entry and prune (2,1).
+        """
+        layout = DEFAULT_LABEL_LAYOUT
+        rule_filter = RuleFilterMemory(capacity=64)
+        combiner = LabelCombiner(rule_filter, layout)
+        for rule_id, (first, second, priority) in enumerate(
+            [(1, 1, 4), (1, 2, 1), (2, 1, 3)]
+        ):
+            key = layout.pack([first, second, 0, 0, 0, 0, 0])
+            rule_filter.insert(key, Rule.build(rule_id, priority))
+        lists = (((1, 1), (2, 2)), ((1, 1), (2, 5))) + (((0, 0),),) * 5
+        probe_cache = BoundedCache(4096)
+        reference, cached = _walk_both(combiner, lists, probe_cache)
+        assert cached == reference
+        assert reference[0].entry.rule_id == 2 and reference[0].probes == 2
+        assert len(probe_cache) > 0
 
 
 class TestBoundedCaches:

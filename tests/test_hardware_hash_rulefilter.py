@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import CapacityError, ConfigurationError
 from repro.hardware.hash_unit import DEFAULT_LABEL_LAYOUT, HashUnit, LabelKeyLayout
-from repro.hardware.rule_filter import RuleFilterMemory
+from repro.fields.vectorized import HAVE_NUMPY
+from repro.hardware.rule_filter import NO_ENTRY, RuleFilterMemory
 from repro.rules.rule import Rule
 
 
@@ -287,3 +290,80 @@ class TestChangedHomes:
     @staticmethod
     def _key(seed: int) -> int:
         return DEFAULT_LABEL_LAYOUT.pack((seed % 8192, 1, 2, 3, seed % 128, 5, seed % 4))
+
+
+def assert_lookup_batch_matches(memory, keys):
+    """``lookup_batch`` reports what ``lookup`` does for every key, reads included."""
+    import numpy as np
+
+    mask = (1 << 64) - 1
+    low = np.array([key & mask for key in keys], dtype=np.uint64)
+    high = np.array([key >> 64 for key in keys], dtype=np.uint64)
+    memory.reset_counters()
+    batch = memory.lookup_batch(low, high)
+    assert memory.memory.counter.reads == int(batch.probes.sum())
+    for index, key in enumerate(keys):
+        single = memory.lookup(key)
+        slot = int(batch.slots[index])
+        assert (memory.entry_at(slot) if slot >= 0 else None) is single.entry
+        expected = NO_ENTRY if single.entry is None else single.entry.priority
+        assert int(batch.priorities[index]) == expected
+        assert int(batch.probes[index]) == single.probes
+        assert int(batch.homes[index]) == single.home
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="lookup_batch needs NumPy")
+class TestArrayLookup:
+    """The array ``lookup_batch`` against the scalar ``lookup`` it replaces."""
+
+    #: 68-bit keys (most with a non-zero high limb) for 32- and 64-slot tables.
+    KEYS = [random.Random(5).getrandbits(68) for _ in range(40)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        table_bits=st.sampled_from([5, 6]),
+        ops=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 39), st.integers(0, 15)),
+            min_size=1,
+            max_size=150,
+        ),
+    )
+    def test_equals_scalar_lookup(self, table_bits, ops):
+        """High load, wrapping runs, shared keys and backward-shift deletes."""
+        memory = RuleFilterMemory(capacity=1 << table_bits)
+        stored = []
+        for rule_id, (kind, index, priority) in enumerate(ops):
+            if kind and len(stored) < memory.capacity:
+                # Few priorities: keys hold several entries, some tied.
+                memory.insert(self.KEYS[index], Rule.build(rule_id, priority))
+                stored.append((self.KEYS[index], rule_id))
+            elif stored:
+                key, victim = stored.pop(index % len(stored))
+                assert memory.delete(key, victim)[0]
+        assert_lookup_batch_matches(memory, self.KEYS + [0, 1 << 67, (1 << 68) - 1])
+
+    def test_full_table_has_no_terminator(self):
+        memory = RuleFilterMemory(capacity=32)
+        for rule_id in range(32):
+            memory.insert(self.KEYS[rule_id % 7], Rule.build(rule_id, 40 - rule_id))
+        depth = memory.memory.depth
+        assert all(memory.memory.peek(slot) is not None for slot in range(depth))
+        assert_lookup_batch_matches(memory, self.KEYS)
+        assert memory.lookup(self.KEYS[30]).probes == depth
+
+    def test_run_wrapping_past_the_last_slot(self):
+        memory = RuleFilterMemory(capacity=32)
+        last = memory.hash_unit.table_size - 1
+        keys = [key for key in range(5000) if memory.hash_unit.hash(key) == last][:4]
+        for rule_id, key in enumerate(keys):
+            memory.insert(key, Rule.build(rule_id, 9 - rule_id))
+        assert memory.lookup(keys[3]).probes == 5  # slots 31, 0, 1, 2 and the empty 3
+        memory.delete(keys[1], 1)  # backward shift across slot 0
+        assert_lookup_batch_matches(memory, keys + [key + 1 for key in keys])
+
+    def test_keys_wider_than_128_bits_never_match_a_limb_pair(self):
+        memory = RuleFilterMemory(capacity=32)
+        wide = (1 << 130) | 12345
+        memory.insert(wide, Rule.build(0, 0))
+        memory.insert(12345, Rule.build(1, 1))
+        assert_lookup_batch_matches(memory, [12345, wide & ((1 << 128) - 1)])
