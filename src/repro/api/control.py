@@ -47,7 +47,7 @@ from typing import Iterable, List, Optional, Tuple
 from repro.core.config import CombinerMode, IpAlgorithm
 from repro.core.dimensions import rule_dimension_specs, spec_interval
 from repro.exceptions import UpdateError
-from repro.core.invalidation import FILTER_MARK, InvalidationScope
+from repro.core.invalidation import InvalidationScope, snapshot_marks
 from repro.rules.rule import Rule
 from repro.rules.ruleset import RuleSet
 
@@ -492,17 +492,6 @@ class ClassifierControl(ControlPlane):
             return result, inverse
         raise UpdateError(f"unknown transaction op kind {op.kind!r}")
 
-    def _snapshot_marks(self) -> dict:
-        """Per-engine and Rule Filter ``(identity, mutation epoch)`` marks."""
-        classifier = self.classifier
-        marks = {
-            name: (engine, engine.mutation_epoch)
-            for name, engine in classifier.engines.items()
-        }
-        rule_filter = classifier.rule_filter
-        marks[FILTER_MARK] = (rule_filter, rule_filter.mutation_epoch)
-        return marks
-
     def _build_scope(self, pre_marks: dict, applied: List[tuple]) -> InvalidationScope:
         """Bound the committed delta's blast radius (see :mod:`repro.core.invalidation`).
 
@@ -536,12 +525,12 @@ class ClassifierControl(ControlPlane):
             scope.wholesale = True
         else:
             scope.filter_keys, scope.filter_homes = drained
-        scope.post_marks = self._snapshot_marks()
+        scope.post_marks = snapshot_marks(self.classifier)
         return scope
 
     def _apply(self, delta: Delta) -> Tuple[List[object], List[TxnOp]]:
         rule_filter = self.classifier.rule_filter
-        pre_marks = self._snapshot_marks()
+        pre_marks = snapshot_marks(self.classifier)
         # Discard dirty-slot runs left by mutations outside this plane; the
         # epoch handoff would reject a scope built on them anyway, they would
         # only bloat this commit's.

@@ -38,11 +38,9 @@ def iter_chunks(
 ) -> Iterator[List[PacketHeader]]:
     """Lazily batch an iterable into ``size``-packet chunks (tail included).
 
-    The chunker behind the synchronous streaming runner
-    (:class:`ClassificationSession`).  The dispatch chunkers of
-    :mod:`repro.perf.parallel` (``_iter_dispatch_chunks`` and its async
-    twin) mirror this flush rule for header streams — change them in
-    lock-step.
+    The chunker behind the streaming runner (:class:`ClassificationSession`)
+    and, for header streams, behind the dispatch of
+    :class:`~repro.perf.parallel.ParallelSession`.
     """
     chunk: List[PacketHeader] = []
     for packet in packets:
@@ -114,9 +112,9 @@ class RunningCounters:
 
     The one accounting accumulator behind every streaming runner:
     :class:`ClassificationSession` folds its chunks into one instance, and
-    :class:`~repro.perf.parallel.ParallelSession` keeps one per worker and
-    merges them — so sharded, asynchronous and single-session statistics all
-    share the same arithmetic and cannot drift apart.
+    :class:`~repro.perf.parallel.ParallelSession` keeps one per worker
+    process and merges them — so sharded and single-session statistics share
+    the same arithmetic and cannot drift apart.
     """
 
     __slots__ = (

@@ -24,7 +24,7 @@ Provides one subcommand per experiment (``table1`` ... ``table7``, ``fig3`` ...
 * ``fabric`` — simulate a multi-switch fabric
   (:mod:`repro.controller.fabric`): partition the rule set across an N-switch
   ``line`` or ``fattree`` topology, serve an ingress-tagged flow trace
-  through per-switch parallel sessions and report placement + per-switch hit
+  through each switch's classifier and report placement + per-switch hit
   accounting; ``--churn N`` interleaves N topology-wide transactional
   commits (paired remove / reinsert) into the run;
 * ``import`` — translate an iptables-save dump (:mod:`repro.io.iptables`)
@@ -47,9 +47,7 @@ Usage::
     python -m repro.cli classify --classifier hypercuts --size 1000
     python -m repro.cli classify --size 1000 --packets 10000 --fast --workers 4
     python -m repro.cli classify --size 1000 --packets 10000 --vectorized \\
-        --workers 4 --backend process --transport packed
-    python -m repro.cli classify --size 1000 --packets 5000 --fast \\
-        --workers 2 --async-feed
+        --workers 4 --transport packed
     python -m repro.cli classify --size 1000 --packets 10000 --fast \\
         --workers 4 --churn 32
     python -m repro.cli sweep --size 500 --packets 100 --classifiers hypercuts,rfc
@@ -70,7 +68,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import asyncio
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -248,16 +245,6 @@ def _build_classifier(name: str, ruleset, args: argparse.Namespace, strict_fast:
     )
 
 
-async def _drive_async_feed(session, trace) -> object:
-    """Model a live capture: drive the pool through the asyncio front-end."""
-
-    async def live_source():
-        for packet in trace:
-            yield packet
-
-    return await session.arun(live_source())
-
-
 def _split_segments(trace: Sequence, parts: int) -> List[Sequence]:
     """Split a trace into ``parts`` contiguous, near-even, non-empty slices."""
     parts = max(1, min(parts, len(trace)))
@@ -310,15 +297,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     segments = _split_segments(trace, args.churn + 1) if args.churn else [trace]
     updates_applied = 0
     details = {}
-    # A non-default backend/transport/feed mode is honoured even with one
-    # worker — never a silent no-op (a 1-worker process pool is a real
-    # isolation choice, and the async front-end only exists on the pool).
-    parallel = (
-        args.workers > 1
-        or args.backend != "thread"
-        or args.transport != "auto"
-        or args.async_feed
-    )
+    # An explicit transport is honoured even with one worker — never a
+    # silent no-op (a 1-worker process pool is a real isolation choice).
+    parallel = args.workers > 1 or args.transport != "auto"
     if parallel:
         from repro.perf import ParallelSession, ReplicaSpec
 
@@ -329,14 +310,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             spec,
             workers=args.workers,
             chunk_size=args.chunk_size,
-            backend=args.backend,
             transport=args.transport,
         ) as session:
             for index, segment in enumerate(segments):
-                if args.async_feed:
-                    stats = asyncio.run(_drive_async_feed(session, segment))
-                else:
-                    stats = session.run(segment)
+                stats = session.run(segment)
                 if index < len(segments) - 1:
                     session.apply(_churn_delta(ruleset, index))
                     updates_applied += 1
@@ -364,10 +341,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         report["Trace file"] = _describe_trace(args.trace, trace_stats)
     if parallel:
         report["Worker replicas"] = args.workers
-        report["Worker backend"] = args.backend
         report["Chunk transport"] = transport
-        if args.async_feed:
-            report["Feed mode"] = "async (ParallelSession.arun)"
     if updates_applied:
         report["Churn updates applied"] = updates_applied
     if args.flows:
@@ -675,7 +649,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         spec,
         workers=args.workers,
         chunk_size=args.chunk_size,
-        backend=args.backend,
         transport=args.transport,
     ) as session:
         stats = session.run(chunks)
@@ -690,7 +663,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         "Hit ratio": f"{stats.hit_ratio:.3f}",
         "Avg memory accesses / packet": f"{stats.average_memory_accesses:.1f}",
         "Worker replicas": args.workers,
-        "Worker backend": args.backend,
         "Chunk transport": transport,
     }
     print(format_kv(report, title="Capture replay"))
@@ -775,23 +747,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub_classify.add_argument(
         "--workers", type=int, default=1,
-        help="classifier replicas to shard the trace across (ParallelSession)",
-    )
-    sub_classify.add_argument(
-        "--backend", choices=["thread", "process"], default="thread",
-        help="ParallelSession worker backend: in-process threads (deployment "
-             "model) or worker processes (true CPU parallelism)",
+        help="worker processes to shard the trace across (ParallelSession); "
+             "more than one runs the process pool",
     )
     sub_classify.add_argument(
         "--transport", choices=["auto", "packed", "pickle"], default="auto",
-        help="process-backend chunk transport: packed 104-bit header words in "
+        help="process-pool chunk transport: packed 104-bit header words in "
              "a shared-memory ring (zero-copy) or pickled object chunks; "
-             "auto prefers packed when shared memory is available",
-    )
-    sub_classify.add_argument(
-        "--async-feed", action="store_true", dest="async_feed",
-        help="drive the trace through the asyncio front-end "
-             "(ParallelSession.arun), modelling a live packet source",
+             "auto prefers packed when shared memory is available; a "
+             "non-default transport runs the pool even with one worker",
     )
     sub_classify.add_argument(
         "--churn", type=int, default=0,
@@ -973,15 +937,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub_replay.add_argument(
         "--workers", type=int, default=1,
-        help="classifier replicas to shard the capture across (ParallelSession)",
-    )
-    sub_replay.add_argument(
-        "--backend", choices=["thread", "process"], default="thread",
-        help="ParallelSession worker backend",
+        help="worker processes to shard the capture across (ParallelSession)",
     )
     sub_replay.add_argument(
         "--transport", choices=["auto", "packed", "pickle"], default="auto",
-        help="process-backend chunk transport; packed ships the capture's "
+        help="process-pool chunk transport; packed ships the capture's "
              "chunk words through shared memory verbatim",
     )
     add_workload_arguments(sub_replay, packets=False)

@@ -15,7 +15,7 @@ software half:
   message vocabulary;
 * :mod:`~repro.controller.fabric` — the multi-switch fabric: topology +
   shortest-path routing, overlap-component rule placement, topology-wide
-  transactional commits and per-switch parallel serving.
+  transactional commits and per-switch serving.
 """
 
 from repro.controller.channel import ChannelStats, ControlChannel

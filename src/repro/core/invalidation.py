@@ -2,21 +2,23 @@
 
 The control plane (:mod:`repro.api.control`) computes, for every committed
 delta, exactly which memoized state the commit can have perturbed, and hands
-that description — an :class:`InvalidationScope` — to the caches hanging off
-the classifier (:class:`~repro.perf.fastpath.FastPathAccelerator`,
-:class:`~repro.perf.flowcache.FlowCache`).  The caches then drop only the
-affected entries instead of epoch-flushing wholesale, which is what keeps
-them warm across an update-heavy workload.
+that description — an :class:`InvalidationScope` — to the fast path
+(:class:`~repro.perf.fastpath.FastPathAccelerator`), which then drops only
+the affected entries instead of epoch-flushing wholesale; that is what keeps
+it warm across an update-heavy workload.  The flow cache
+(:class:`~repro.perf.flowcache.FlowCache`) receives the committed delta
+itself and drops the entries its rules decide or match.  Both compare the
+same epoch marks, built by :func:`snapshot_marks`.
 
 The scope has four parts:
 
 * **epoch handoff** — the per-engine and rule-filter
-  :class:`~repro.observers.MutationEpoch` marks immediately before and after
-  the commit.  A cache applies the scoped drops only when its own snapshot
-  equals the *pre* marks (i.e. it was exactly up to date with the pre-commit
-  state) and then adopts the *post* marks; any mismatch means something moved
-  outside the control plane's bookkeeping and the cache falls back to its
-  wholesale epoch-comparison path.
+  :class:`~repro.observers.MutationEpoch` marks (:func:`snapshot_marks`)
+  immediately before and after the commit.  The fast path applies the scoped
+  drops only when its own marks equal the *pre* marks (i.e. it was exactly
+  up to date with the pre-commit state) and then adopts the *post* marks;
+  any mismatch means something moved outside the control plane's
+  bookkeeping and it falls back to its wholesale epoch-comparison path.
 * **field spans** — per dimension, the merged value intervals on which a
   single-field engine's lookup result (or its access accounting) may differ
   after the commit: the structural blast radius reported by
@@ -44,19 +46,37 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-__all__ = ["InvalidationScope"]
+__all__ = ["InvalidationScope", "snapshot_marks"]
 
 #: Mark key for the Rule Filter in the pre/post mark dictionaries (the other
 #: keys are the dimension names).
 FILTER_MARK = "rule_filter"
 
 
+def snapshot_marks(classifier) -> Dict[str, Tuple[object, int]]:
+    """``{dimension | FILTER_MARK: (object, mutation epoch)}`` of a classifier.
+
+    The one epoch snapshot every cache validates against and every
+    :class:`InvalidationScope` carries.  The engine object rides along with
+    its counter, so a wholesale engine swap (an IPalg_s reconfiguration
+    rebuilding the datapath) reads as moved even if the fresh engine's
+    counter happens to match the old one.
+    """
+    marks = {
+        name: (engine, engine.mutation_epoch)
+        for name, engine in classifier.engines.items()
+    }
+    rule_filter = classifier.rule_filter
+    marks[FILTER_MARK] = (rule_filter, rule_filter.mutation_epoch)
+    return marks
+
+
 @dataclass
 class InvalidationScope:
     """Everything a commit can have invalidated, bounded and itemised."""
 
-    #: ``{dimension | FILTER_MARK: (object identity, mutation epoch)}`` taken
-    #: immediately before the first operation of the commit was applied.
+    #: :func:`snapshot_marks` taken immediately before the first operation of
+    #: the commit was applied.
     pre_marks: Dict[str, Tuple[object, int]] = field(default_factory=dict)
     #: Same snapshot immediately after the last operation succeeded.
     post_marks: Dict[str, Tuple[object, int]] = field(default_factory=dict)

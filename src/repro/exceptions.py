@@ -45,6 +45,10 @@ class UpdateError(ReproError):
     """An incremental update (rule insert/delete) could not be applied."""
 
 
+class WorkerError(ReproError):
+    """A worker process of a parallel session died; the session closed with it."""
+
+
 class ControlPlaneError(ReproError):
     """Controller/switch channel failure (unknown switch, malformed message...)."""
 

@@ -27,22 +27,17 @@ allows" goal.  This package closes the gap from two directions:
   surgically; untracked mutations flush wholesale via the same mutation
   epochs the fast path watches.
 * :class:`~repro.perf.parallel.ParallelSession` — shards a trace in bounded
-  round-robin chunks across N classifier replicas and merges the per-replica
-  statistics into one :class:`~repro.api.session.SessionStats`.  The thread
-  backend models the deployment in-process; the process backend
-  (``backend="process"``, replicas built from a picklable
-  :class:`~repro.perf.parallel.ReplicaSpec`) classifies with true CPU
-  parallelism.  Chunks reach process workers over the zero-copy packed
-  transport of :mod:`repro.perf.transport` (fixed-width 104-bit header words
-  in a shared-memory ring; ``transport="packed"``) when the platform grants
-  shared memory, falling back to pickled object chunks otherwise — and the
-  asyncio front-end (:meth:`~repro.perf.parallel.ParallelSession.afeed` /
-  :meth:`~repro.perf.parallel.ParallelSession.arun`) lets a live async
-  packet source drive the pool with bounded backpressure, yielding
-  input-order classifications without blocking the event loop.  The pool is
-  itself a :class:`~repro.api.control.ControlPlane`: committed transactions
-  broadcast to every replica between chunks, all-or-nothing session-wide
-  (see :meth:`~repro.perf.parallel.ParallelSession.apply`).
+  round-robin chunks across N worker processes, each holding one replica
+  built from a picklable :class:`~repro.perf.parallel.ReplicaSpec`, and
+  merges the per-replica statistics into one
+  :class:`~repro.api.session.SessionStats`.  Chunks reach the workers over
+  the zero-copy packed transport of :mod:`repro.perf.transport` (fixed-width
+  104-bit header words in a shared-memory ring; ``transport="packed"``) when
+  the platform grants shared memory, falling back to pickled object chunks
+  otherwise.  The pool is itself a :class:`~repro.api.control.ControlPlane`:
+  committed transactions broadcast to every replica between chunks,
+  all-or-nothing session-wide (see
+  :meth:`~repro.perf.parallel.ParallelSession.apply`).
 """
 
 from repro.perf.fastpath import FastPathAccelerator

@@ -69,7 +69,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.dimensions import DIMENSIONS, packet_dimension_values
 from repro.core.result import BatchResult, Classification
-from repro.core.invalidation import FILTER_MARK, InvalidationScope
+from repro.core.invalidation import InvalidationScope, snapshot_marks
 from repro.perf.lru import BoundedCache, LRUCache
 from repro.rules.packet import PacketHeader
 
@@ -128,13 +128,10 @@ class FastPathAccelerator:
         # vectorized combiner walk, far too hot for recency bookkeeping.
         self._probe_cache = BoundedCache(probe_cache_limit)
         self._sort_memo = BoundedCache(SORT_MEMO_LIMIT)
-        # Epoch snapshots the caches were last validated against: per
-        # dimension (engine identity, engine epoch), plus the Rule Filter's.
-        # The engine object rides along so a wholesale engine swap (an
-        # IPalg_s reconfiguration rebuilding the datapath) invalidates even
-        # if the fresh engine's counter happens to match the old one.
-        self._engine_marks: Dict[str, Tuple[object, int]] = {}
-        self._filter_mark: Optional[Tuple[object, int]] = None
+        # The epoch marks (repro.core.invalidation.snapshot_marks) the caches
+        # were last validated against; rebound, never mutated, since after a
+        # scoped commit it is the InvalidationScope's own post-marks dict.
+        self._marks: Dict[str, Tuple[object, int]] = {}
         # Scoped-invalidation dependency maps (fed by the probe logs of the
         # combiner walks): rule-filter home slot -> combiner-cache keys whose
         # outcome consumed a probe of a key homed there (at most one entry
@@ -186,24 +183,16 @@ class FastPathAccelerator:
         drops its dimension's field cache and every derived layer; a moved
         Rule Filter drops the derived layers only.
         """
-        had_state = bool(self._engine_marks) or self._filter_mark is not None
-        derived_stale = False
+        marks = snapshot_marks(self.classifier)
+        if marks == self._marks:
+            return
         for name in DIMENSIONS:
-            engine = self.classifier.engines[name]
-            mark = (engine, engine.mutation_epoch)
-            if self._engine_marks.get(name) != mark:
+            if self._marks.get(name) != marks[name]:
                 self._field_caches[name].clear()
-                self._engine_marks[name] = mark
-                derived_stale = True
-        rule_filter = self.classifier.rule_filter
-        filter_mark = (rule_filter, rule_filter.mutation_epoch)
-        if self._filter_mark != filter_mark:
-            self._filter_mark = filter_mark
-            derived_stale = True
-        if derived_stale:
-            self._invalidate_outcomes()
-            if had_state:
-                self.epoch_flushes += 1
+        if self._marks:
+            self.epoch_flushes += 1
+        self._marks = marks
+        self._invalidate_outcomes()
 
     def detach(self) -> None:
         """Drop all cached state (the accelerator is being discarded)."""
@@ -227,8 +216,7 @@ class FastPathAccelerator:
         for cache in self._field_caches.values():
             cache.clear()
         self._sort_memo.clear()
-        self._engine_marks.clear()
-        self._filter_mark = None
+        self._marks = {}
         self._invalidate_outcomes()
 
     # -- scoped invalidation --------------------------------------------------
@@ -238,18 +226,15 @@ class FastPathAccelerator:
         Called by the control plane after a successful commit.  The scoped
         drops are only sound if every cache entry was computed against the
         pre-commit state, so they apply only when the accelerator's epoch
-        snapshots equal the scope's *pre* marks; the snapshots then advance
-        to the *post* marks and the next batch revalidates clean.  On any
+        marks equal the scope's *pre* marks; the marks then advance to the
+        *post* marks and the next batch revalidates clean.  On any
         mismatch (out-of-band mutations, a previous unscoped commit) this
         does nothing and the ordinary epoch comparison at the next batch
         flushes wholesale.
         """
         if scope is None or scope.wholesale or self._deps_overflow:
             return
-        for name in DIMENSIONS:
-            if self._engine_marks.get(name) != scope.pre_marks.get(name):
-                return
-        if self._filter_mark != scope.pre_marks.get(FILTER_MARK):
+        if self._marks != scope.pre_marks:
             return
         dropped = 0
         # Field layer: lookups inside a span may have changed; the combiner /
@@ -274,13 +259,7 @@ class FastPathAccelerator:
             self._header_cache.clear()
         if scope.touches_filter:
             dropped += self._drop_filter_deps(scope.filter_keys, scope.filter_homes)
-        for name in DIMENSIONS:
-            mark = scope.post_marks.get(name)
-            if mark is not None:
-                self._engine_marks[name] = mark
-        filter_mark = scope.post_marks.get(FILTER_MARK)
-        if filter_mark is not None:
-            self._filter_mark = filter_mark
+        self._marks = scope.post_marks
         self.scoped_commits += 1
         self.scoped_entries_dropped += dropped
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.dimensions import DIMENSIONS
+from repro.core.invalidation import snapshot_marks
 from repro.core.result import BatchResult, Classification
 from repro.exceptions import ConfigurationError
 from repro.perf.transport import _HEADER_STRUCT
@@ -219,11 +219,10 @@ class FlowCache:
         self.capacity_evictions = 0
         self.surgical_drops = 0
         self.invalidations = 0
-        # Epoch marks, same scheme as FastPathAccelerator: (object, epoch)
-        # per engine plus the Rule Filter.  Only populated once bound.
+        # Epoch marks (repro.core.invalidation.snapshot_marks), the same the
+        # fast path keeps.  Only populated once bound.
         self._classifier = None
-        self._engine_marks: Dict[str, tuple] = {}
-        self._filter_mark: Optional[tuple] = None
+        self._marks: Dict[str, tuple] = {}
 
     # -- binding & epochs -----------------------------------------------------
     def bind(self, classifier) -> None:
@@ -234,18 +233,11 @@ class FlowCache:
     def unbind(self) -> None:
         """Detach from the classifier (the cache is being discarded)."""
         self._classifier = None
-        self._engine_marks.clear()
-        self._filter_mark = None
+        self._marks = {}
 
     def _snapshot_epochs(self) -> None:
-        classifier = self._classifier
-        if classifier is None:
-            return
-        for name in DIMENSIONS:
-            engine = classifier.engines[name]
-            self._engine_marks[name] = (engine, engine.mutation_epoch)
-        rule_filter = classifier.rule_filter
-        self._filter_mark = (rule_filter, rule_filter.mutation_epoch)
+        if self._classifier is not None:
+            self._marks = snapshot_marks(self._classifier)
 
     def _validate_epochs(self) -> None:
         """Wholesale-flush if any mutation epoch moved outside a tracked commit.
@@ -255,21 +247,12 @@ class FlowCache:
         mutations (direct ``install_rule`` / ``remove_rule`` / ``reconfigure``
         calls) — where flushing everything is the only safe answer.
         """
-        classifier = self._classifier
-        if classifier is None:
+        if self._classifier is None:
             return
-        stale = False
-        for name in DIMENSIONS:
-            engine = classifier.engines[name]
-            if self._engine_marks.get(name) != (engine, engine.mutation_epoch):
-                stale = True
-                break
-        if not stale:
-            rule_filter = classifier.rule_filter
-            stale = self._filter_mark != (rule_filter, rule_filter.mutation_epoch)
-        if stale:
+        marks = snapshot_marks(self._classifier)
+        if marks != self._marks:
             self.invalidate()
-            self._snapshot_epochs()
+            self._marks = marks
 
     # -- serving --------------------------------------------------------------
     def classify_batch(

@@ -1,24 +1,15 @@
-"""Multi-pipeline deployment model: trace sharding over classifier replicas.
+"""Multi-pipeline deployment model: trace sharding over worker processes.
 
 The paper's hardware sustains line rate because the pipeline accepts a new
 packet every cycle; a software deployment reaches for the same headroom by
 running several classifier *replicas* side by side behind a load balancer.
-:class:`ParallelSession` models exactly that: a pool of N independent
-replicas (each holding the full rule set), bounded chunks of the input trace
-dispatched round-robin across them, and one merged
+:class:`ParallelSession` models exactly that: a pool of N worker processes,
+each holding one replica with the full rule set and built there from a
+**picklable** factory (see :class:`ReplicaSpec`), bounded chunks of the input
+trace dispatched round-robin across them, and one merged
 :class:`~repro.api.session.SessionStats` over the whole deployment.
 
-Two backends share the same dispatch loop:
-
-* ``backend="thread"`` — each replica lives in this process behind its own
-  single-lane thread.  Replicas share nothing, but the GIL serialises the
-  actual CPU work, so this backend *models* the deployment (and overlaps any
-  releases-the-GIL work) without real parallel speedup.
-* ``backend="process"`` — each replica lives in its own worker process,
-  built there from a **picklable** factory (see :class:`ReplicaSpec`).  This
-  is true CPU parallelism: N cores classify N shards concurrently.
-
-The process backend moves chunks over one of two **transports**:
+Chunks reach the workers over one of two **transports**:
 
 * ``transport="packed"`` — the zero-copy wire format of
   :mod:`repro.perf.transport`: chunks are packed into fixed-width 104-bit
@@ -41,19 +32,16 @@ classification) and rehydrate through a parent-side interning memo.
 :mod:`repro.api.control` — :meth:`ParallelSession.begin` opens a transaction
 whose commit broadcasts the delta to every replica, and
 :meth:`ParallelSession.apply` re-broadcasts a delta/commit staged elsewhere.
-On the thread backend the delta applies directly on each replica between
-that replica's chunks (under the dispatch lock); on the process backend it
-crosses as a message over the existing executor transport alongside the
-chunk descriptors.  A replica that fails a delta triggers a session-wide
+The delta crosses as a message over each worker's task channel, alongside
+the chunk descriptors.  A replica that fails a delta triggers a session-wide
 rollback (each committed replica replays the inverse delta), so the pool
 never serves divergent rule programs.
 
-Asynchronous front-end: :meth:`ParallelSession.afeed` accepts an async (or
-plain) iterable of packets — a live capture — and yields input-order
-:class:`~repro.core.result.Classification` records as head-of-line chunks
-complete, applying backpressure through the same bounded in-flight window as
-the synchronous dispatch; :meth:`ParallelSession.arun` is its stats-only
-twin.  Neither blocks the event loop while workers classify.
+Concurrency: a session runs one dispatch (:meth:`ParallelSession.run` or
+:meth:`ParallelSession.feed`) at a time; :meth:`ParallelSession.apply` may be
+called from another thread while a dispatch runs.  An event loop drives the
+pool by awaiting :meth:`ParallelSession.feed` run in a worker thread, chunk
+by chunk (see :meth:`ParallelSession.from_factory`).
 
 Streaming contract: the input trace is consumed incrementally — at most
 ``workers x 2`` chunks are in flight plus the one being filled — so
@@ -63,13 +51,16 @@ arbitrarily long streams run in constant memory, exactly like
 it necessarily materialises them).
 
 Failure contract: statistics commit only when a run completes.  If any
-replica raises mid-run (a poisoned packet, a broken worker), outstanding
-chunks are cancelled, the shared-memory ring (if any) is released, the
-original error propagates, and the session's committed counters remain
-exactly what they were before the failed
-:meth:`ParallelSession.run`/:meth:`ParallelSession.feed` call — a failed run
-contributes nothing to :meth:`ParallelSession.stats`.  Abandoning an
-:meth:`ParallelSession.afeed` generator mid-stream counts as a failed run.
+replica raises mid-run (a poisoned packet), outstanding chunks are
+cancelled, the shared-memory ring (if any) is released, the original error
+propagates, and the session's committed counters remain exactly what they
+were before the failed :meth:`ParallelSession.run`/:meth:`ParallelSession.feed`
+call — a failed run contributes nothing to :meth:`ParallelSession.stats`.  A
+worker process that dies closes the session: whichever call meets the
+broken worker raises :class:`~repro.exceptions.WorkerError` (chained from the
+executor's ``BrokenExecutor``), a broadcast in progress leaves the pool's
+version where it was and is never served, and every later call raises the
+closed-session error.
 
 Merged statistics are exact — counts sum, averages are packet-weighted,
 worst cases take the maximum across replicas — and
@@ -79,16 +70,16 @@ bit-identical to a single replica classifying the whole trace.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
+import functools
+import itertools
 import pickle
 import threading
 from array import array
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
-    AsyncIterator,
     Callable,
     Dict,
     Iterable,
@@ -105,10 +96,11 @@ from repro.api.session import (
     BatchCounters,
     RunningCounters,
     SessionStats,
+    iter_chunks,
     measure_results,
 )
 from repro.core.result import BatchResult, Classification
-from repro.exceptions import ConfigurationError, UpdateError
+from repro.exceptions import ConfigurationError, UpdateError, WorkerError
 from repro.perf.lru import BoundedCache
 from repro.perf.transport import (
     HEADER_BYTES,
@@ -152,13 +144,12 @@ def merge_flow_cache_stats(
     return merged
 
 #: Bound of the parent-side Classification interning memo used to rehydrate
-#: compact process-backend feed() results (see :class:`_CompactChunk`).
+#: compact feed() results (see :class:`_CompactChunk`).
 RESULT_MEMO_LIMIT = 1 << 20
 
 #: Chunks allowed in flight per worker (dispatch back-pressure bound).
 PIPELINE_DEPTH = 2
 
-_BACKENDS = ("thread", "process")
 _TRANSPORTS = ("auto", "packed", "pickle")
 
 
@@ -166,12 +157,11 @@ _TRANSPORTS = ("auto", "packed", "pickle")
 class ReplicaSpec:
     """Picklable recipe for building one classifier replica in a worker.
 
-    Process-backend workers cannot receive closures, so the replica factory
-    travels as data: the registry ``name``, the ``ruleset`` and the factory
-    ``options`` (e.g. ``{"fast": True, "vectorized": True}``).  Calling the
-    spec builds the replica via
-    :func:`~repro.api.registry.create_classifier`, so it doubles as a plain
-    factory for the thread backend too.
+    Worker processes cannot receive closures, so the replica factory travels
+    as data: the registry ``name``, the ``ruleset`` and the factory
+    ``options`` (e.g. ``{"vectorized": True, "flow_cache": True}``).  Each
+    worker calls the spec once, at pool start, which builds its replica via
+    :func:`~repro.api.registry.create_classifier`.
     """
 
     name: str
@@ -186,11 +176,11 @@ class _ChunkOutcome(NamedTuple):
     """Compact, picklable outcome of one classified chunk."""
 
     counters: BatchCounters
-    results: Optional[object]  # Tuple[Classification, ...] or _CompactChunk
+    results: Optional["_CompactChunk"]  # None unless the caller retains results
 
 
 class _CompactChunk(NamedTuple):
-    """Wire form of one chunk's classifications on the process backend.
+    """Wire form of one chunk's classifications on their way back from a worker.
 
     Traces are dominated by repeated flows, so a chunk's classifications
     collapse to a small *palette* of distinct records (``detail`` stripped —
@@ -229,11 +219,9 @@ def _compact_results(results: Tuple[Classification, ...]) -> _CompactChunk:
     return _CompactChunk(palette=tuple(palette), indices=indices)
 
 
-def _measure_chunk(batch: BatchResult, retain: bool, compact: bool = False) -> _ChunkOutcome:
+def _measure_chunk(batch: BatchResult, retain: bool) -> _ChunkOutcome:
     """Fold one chunk's batch through the shared session accounting."""
-    results: Optional[object] = None
-    if retain:
-        results = _compact_results(batch.results) if compact else batch.results
+    results = _compact_results(batch.results) if retain else None
     return _ChunkOutcome(counters=measure_results(batch.results), results=results)
 
 
@@ -243,18 +231,8 @@ class _Inflight(NamedTuple):
     future: object
     worker_index: int
     chunk_index: int
-    #: Ring slot carrying the packed chunk, or None on the pickle/inline path.
+    #: Ring slot carrying the packed chunk, or None on the pickle transport.
     slot: Optional[int]
-
-
-async def _as_async_iterable(packets) -> AsyncIterator[PacketHeader]:
-    """Adapt a plain iterable to async iteration (async input passes through)."""
-    if hasattr(packets, "__aiter__"):
-        async for packet in packets:
-            yield packet
-    else:
-        for packet in packets:
-            yield packet
 
 
 def _split_packed(chunk: PackedChunk, size: int):
@@ -280,61 +258,40 @@ def _mixed_stream_error() -> ConfigurationError:
     )
 
 
+def _headers_only(items):
+    """Pass a header stream through, refusing any PackedChunk mixed into it."""
+    for item in items:
+        if isinstance(item, PackedChunk):
+            raise _mixed_stream_error()
+        yield item
+
+
 def _iter_dispatch_chunks(packets, size: int):
     """Chunk an input stream for dispatch, whichever shape it arrives in.
 
-    A stream of packet headers chunks exactly like
+    A stream of packet headers chunks through
     :func:`~repro.api.session.iter_chunks`; a stream of pre-packed
     :class:`~repro.perf.transport.PackedChunk` words (the pcap front-end,
     :func:`~repro.perf.transport.iter_packed_chunks`) passes through without
     decoding — re-sliced by byte arithmetic when a chunk exceeds the
     dispatch size.  The first item fixes the shape; mixing is an error.
     """
-    packed: Optional[bool] = None
-    chunk: List[PacketHeader] = []
-    for item in packets:
-        if packed is None:
-            packed = isinstance(item, PackedChunk)
-        if packed:
-            if not isinstance(item, PackedChunk):
-                raise _mixed_stream_error()
-            yield from _split_packed(item, size)
-        else:
-            if isinstance(item, PackedChunk):
-                raise _mixed_stream_error()
-            chunk.append(item)
-            if len(chunk) >= size:
-                yield chunk
-                chunk = []
-    if chunk:
-        yield chunk
-
-
-async def _aiter_dispatch_chunks(packets, size: int):
-    """Async twin of :func:`_iter_dispatch_chunks` (same shapes, same rules)."""
-    packed: Optional[bool] = None
-    chunk: List[PacketHeader] = []
-    async for item in _as_async_iterable(packets):
-        if packed is None:
-            packed = isinstance(item, PackedChunk)
-        if packed:
-            if not isinstance(item, PackedChunk):
-                raise _mixed_stream_error()
-            for piece in _split_packed(item, size):
-                yield piece
-        else:
-            if isinstance(item, PackedChunk):
-                raise _mixed_stream_error()
-            chunk.append(item)
-            if len(chunk) >= size:
-                yield chunk
-                chunk = []
-    if chunk:
-        yield chunk
+    items = iter(packets)
+    first = next(items, None)
+    if first is None:
+        return
+    items = itertools.chain((first,), items)
+    if not isinstance(first, PackedChunk):
+        yield from iter_chunks(_headers_only(items), size)
+        return
+    for item in items:
+        if not isinstance(item, PackedChunk):
+            raise _mixed_stream_error()
+        yield from _split_packed(item, size)
 
 
 # ---------------------------------------------------------------------------
-# Process-backend worker plumbing (module-level: must be picklable by name).
+# Worker plumbing (module-level: must be picklable by name).
 # ---------------------------------------------------------------------------
 
 _WORKER_REPLICA = None
@@ -357,7 +314,7 @@ def _process_worker_details() -> Dict[str, object]:
 def _process_worker_classify(chunk, retain: bool) -> _ChunkOutcome:
     if isinstance(chunk, PackedChunk):  # pre-packed input on the pickle transport
         chunk = chunk.headers()
-    return _measure_chunk(_WORKER_REPLICA.classify_batch(chunk), retain, compact=True)
+    return _measure_chunk(_WORKER_REPLICA.classify_batch(chunk), retain)
 
 
 def _process_worker_classify_packed(
@@ -365,7 +322,7 @@ def _process_worker_classify_packed(
 ) -> _ChunkOutcome:
     """Decode one packed chunk from the shared ring and classify it."""
     headers = read_chunk(segment, offset, count)
-    return _measure_chunk(_WORKER_REPLICA.classify_batch(headers), retain, compact=True)
+    return _measure_chunk(_WORKER_REPLICA.classify_batch(headers), retain)
 
 
 def _process_worker_apply_delta(delta: Delta) -> CommitResult:
@@ -381,59 +338,6 @@ def _process_worker_flow_stats() -> Optional[Dict[str, object]]:
 
 def _process_worker_program() -> RuleProgram:
     return _WORKER_REPLICA.control.program()
-
-
-class _ThreadWorker:
-    """One replica behind a single-lane thread (serial per-replica order)."""
-
-    def __init__(self, replica) -> None:
-        self.replica = replica
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    def start(self) -> None:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=1)
-
-    def prefetch_info(self) -> None:  # thread replicas answer synchronously
-        pass
-
-    def info(self) -> Tuple[str, int]:
-        return self.replica.name, self.replica.memory_bits()
-
-    def cached_info(self) -> Optional[Tuple[str, int]]:
-        return self.info()  # always local, no pool needed
-
-    def details(self) -> Dict[str, object]:
-        return dict(self.replica.stats().details)
-
-    def flow_stats(self) -> Optional[Dict[str, object]]:
-        cache = getattr(self.replica, "flow_cache", None)
-        return cache.stats() if cache is not None else None
-
-    def submit(self, chunk, retain):
-        return self._executor.submit(self._classify, chunk, retain)
-
-    def submit_delta(self, delta: Delta):
-        """Enqueue a control-plane delta behind this replica's pending chunks.
-
-        The single-lane executor *is* the dispatch serialisation: the delta
-        applies after every chunk already submitted to this replica and
-        before any chunk submitted later — a direct apply between chunks.
-        """
-        return self._executor.submit(self.replica.control.apply_delta, delta)
-
-    def program(self) -> RuleProgram:
-        return self.replica.control.program()
-
-    def _classify(self, chunk, retain) -> _ChunkOutcome:
-        if isinstance(chunk, PackedChunk):  # pre-packed input, decoded in-lane
-            chunk = chunk.headers()
-        return _measure_chunk(self.replica.classify_batch(chunk), retain)
-
-    def shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
 
 
 class _ProcessWorker:
@@ -523,8 +427,8 @@ class _ProcessWorker:
             if self._info is None and self._used:
                 # Harvest the replica info while the worker still exists, so
                 # committed statistics stay readable after close() even when
-                # only feed()/afeed() ran (they never call info()).  A broken
-                # or poisoned worker simply leaves the info unknown.
+                # only feed() ran (it never calls info()).  A broken or
+                # poisoned worker simply leaves the info unknown.
                 try:
                     future = self._info_future or self._executor.submit(
                         _process_worker_info
@@ -556,8 +460,8 @@ class _SessionControl(ControlPlane):
         """Snapshot of replica 0's rule program, stamped with the pool version.
 
         Replicas are kept rule-identical by the broadcast commit path, so any
-        replica's program is representative; on the process backend the
-        worker reports it (starting the pool if needed).
+        replica's program is representative; worker 0 reports it (starting
+        that worker if needed).
         """
         program = self._session._replica_program()
         return dataclasses.replace(program, version=self._version)
@@ -566,111 +470,99 @@ class _SessionControl(ControlPlane):
         return self._session._broadcast_delta(delta)
 
 
+def _raise_if_broken(failures: List[Tuple[int, BaseException]]) -> None:
+    """Re-raise the first dead-worker error among ``(worker, error)`` pairs."""
+    for _, error in failures:
+        if isinstance(error, BrokenExecutor):
+            raise error
+
+
+def _closes_on_broken_worker(method):
+    """Close the session and raise a typed error when a worker process died.
+
+    ``concurrent.futures`` reports a dead worker as ``BrokenExecutor`` from
+    every later submit or wait on its executor.  The pool cannot serve or
+    stay rule-identical without that replica, so the session closes (the
+    surviving workers shut down with it) and the caller gets a
+    :class:`~repro.exceptions.WorkerError` chained from the executor's error.
+    """
+
+    @functools.wraps(method)
+    def guarded(self, *args, **kwargs):
+        try:
+            return method(self, *args, **kwargs)
+        except BrokenExecutor as exc:
+            self.close()
+            raise WorkerError(
+                f"a worker process died ({exc}); the parallel session is closed, "
+                "create a new session"
+            ) from exc
+
+    return guarded
+
+
 class ParallelSession:
-    """Shard traces across replica classifiers and merge their statistics.
+    """Shard traces across worker-process replicas and merge their statistics.
 
-    ``ParallelSession(replicas)`` runs the given replica instances on the
-    thread backend; :meth:`from_factory` builds the replicas (``factory`` per
-    worker) and selects the backend and transport.  The process backend
-    requires a picklable factory — use :class:`ReplicaSpec`.
+    ``ParallelSession(factory, workers)`` (or :meth:`from_factory`) starts
+    ``workers`` processes, each of which calls the picklable ``factory`` once
+    to build its replica — use :class:`ReplicaSpec`.  ``transport`` selects
+    how chunks reach the workers (``"auto"``/``"packed"``/``"pickle"``, see
+    the module docstring).
 
-    ``transport`` selects how the process backend ships chunks to workers
-    (``"auto"``/``"packed"``/``"pickle"``, see the module docstring); the
-    thread backend hands chunks over in-process and only accepts the default
-    ``"auto"`` (exposed as :attr:`transport` ``== "inline"``).
-
-    Worker pools (threads or processes) start lazily on first use and stay
-    alive across runs; call :meth:`close` (or use the session as a context
-    manager) to release them.  A closed session is terminal: further
-    :meth:`run`/:meth:`feed`/:meth:`arun`/:meth:`afeed` calls raise
+    Workers start lazily on first use and stay alive across runs; call
+    :meth:`close` (or use the session as a context manager) to release them.
+    A closed session is terminal: further :meth:`run`/:meth:`feed` calls raise
     :class:`~repro.exceptions.ConfigurationError`.  See the module docstring
-    for the streaming and failure contracts.
+    for the concurrency, streaming and failure contracts.
     """
 
     def __init__(
         self,
-        replicas: Optional[Sequence] = None,
+        factory: Callable[[], object],
+        workers: int,
         chunk_size: int = 256,
         *,
-        backend: str = "thread",
-        factory: Optional[Callable[[], object]] = None,
-        workers: Optional[int] = None,
         transport: str = "auto",
     ) -> None:
         if chunk_size <= 0:
             raise ConfigurationError(f"chunk size must be positive, got {chunk_size}")
-        if backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"unknown parallel backend {backend!r}; choose from {_BACKENDS}"
-            )
+        if workers <= 0:
+            raise ConfigurationError(f"worker count must be positive, got {workers}")
         if transport not in _TRANSPORTS:
             raise ConfigurationError(
                 f"unknown chunk transport {transport!r}; choose from {_TRANSPORTS}"
             )
+        try:
+            if not callable(factory):
+                raise TypeError(f"{type(factory).__name__} is not callable")
+            pickle.dumps(factory)
+        except Exception as exc:
+            raise ConfigurationError(
+                "a parallel session needs a picklable replica factory "
+                f"(e.g. ReplicaSpec); {factory!r} is not: {exc}"
+            ) from exc
+        if transport == "packed" and not shared_memory_available():
+            raise ConfigurationError(
+                "transport='packed' needs multiprocessing.shared_memory, "
+                "which this platform does not grant; use transport='auto' "
+                "to fall back to pickle gracefully"
+            )
+        if transport == "auto":
+            transport = "packed" if shared_memory_available() else "pickle"
         self.chunk_size = chunk_size
-        self.backend = backend
+        #: Resolved chunk transport: "packed" or "pickle".
+        self.transport = transport
         self._ring: Optional[SharedChunkRing] = None
-        #: True while a dispatch loop holds the cached ring (interleaved
-        #: loops then build private rings, see :meth:`_acquire_ring`).
-        self._ring_busy = False
         self._closed = False
         #: Serialises chunk submission against control-plane delta broadcast
         #: so a delta lands at one consistent point of the dispatch sequence.
         self._dispatch_lock = threading.Lock()
-        #: Parent-side interning memo rehydrating compact process-backend
-        #: feed() results (records repeated across chunks share one object).
+        #: Parent-side interning memo rehydrating compact feed() results
+        #: (records repeated across chunks share one object).
         self._result_memo = BoundedCache(RESULT_MEMO_LIMIT)
         self._control: Optional[_SessionControl] = None
-        if backend == "thread":
-            if transport != "auto":
-                raise ConfigurationError(
-                    "the thread backend hands chunks over in-process; "
-                    "transport='packed'/'pickle' only applies to backend='process'"
-                )
-            #: Resolved chunk transport: "inline" (thread backend), or
-            #: "packed"/"pickle" on the process backend.
-            self.transport = "inline"
-            if replicas is None:
-                if factory is None or workers is None:
-                    raise ConfigurationError(
-                        "thread backend needs replicas (or a factory with a worker count)"
-                    )
-                replicas = [factory() for _ in range(workers)]
-            replicas = list(replicas)
-            if not replicas:
-                raise ConfigurationError("a parallel session needs at least one replica")
-            #: The replica instances (thread backend only; the process
-            #: backend's replicas live in the worker processes).
-            self.replicas = replicas
-            self._workers: List = [_ThreadWorker(replica) for replica in replicas]
-        else:
-            if replicas is not None:
-                raise ConfigurationError(
-                    "process backend builds replicas inside the worker processes; "
-                    "pass a picklable factory (e.g. ReplicaSpec) via from_factory()"
-                )
-            if factory is None or workers is None:
-                raise ConfigurationError("process backend needs a factory and a worker count")
-            if workers <= 0:
-                raise ConfigurationError(f"worker count must be positive, got {workers}")
-            try:
-                pickle.dumps(factory)
-            except Exception as exc:
-                raise ConfigurationError(
-                    "process backend needs a picklable replica factory "
-                    f"(e.g. ReplicaSpec); {factory!r} is not: {exc}"
-                ) from exc
-            if transport == "packed" and not shared_memory_available():
-                raise ConfigurationError(
-                    "transport='packed' needs multiprocessing.shared_memory, "
-                    "which this platform does not grant; use transport='auto' "
-                    "to fall back to pickle gracefully"
-                )
-            if transport == "auto":
-                transport = "packed" if shared_memory_available() else "pickle"
-            self.transport = transport
-            self.replicas = []
-            self._workers = [_ProcessWorker(factory) for _ in range(workers)]
+        self._workers = [_ProcessWorker(factory) for _ in range(workers)]
         self._committed = [RunningCounters() for _ in self._workers]
 
     @classmethod
@@ -679,32 +571,24 @@ class ParallelSession:
         factory: Callable[[], object],
         workers: int,
         chunk_size: int = 256,
-        backend: str = "thread",
+        backend: str = "process",
         transport: str = "auto",
     ) -> "ParallelSession":
-        """Build a ``workers``-replica session; ``factory`` makes one replica.
+        """Build a ``workers``-process session; ``factory`` makes one replica.
 
-        On the thread backend the factory is called here, once per worker; on
-        the process backend it is shipped (pickled) to each worker process
-        and called there, so it must be picklable — :class:`ReplicaSpec`
-        exists for exactly that.
+        The factory is shipped (pickled) to each worker process and called
+        there, so it must be picklable — :class:`ReplicaSpec` exists for
+        exactly that.  ``backend`` survives only for callers that still name
+        the one backend; any value other than ``"process"`` is rejected.
         """
-        if workers <= 0:
-            raise ConfigurationError(f"worker count must be positive, got {workers}")
-        if backend == "thread":
-            return cls(
-                [factory() for _ in range(workers)],
-                chunk_size=chunk_size,
-                transport=transport,
+        if backend != "process":
+            raise ConfigurationError(
+                f"backend {backend!r} is gone: a ParallelSession is a pool of "
+                "worker processes (backend='process').  Use ClassificationSession "
+                "for one in-process classifier, and drive the pool from an event "
+                "loop with `await asyncio.to_thread(pool.feed, chunk)`"
             )
-        return cls(
-            None,
-            chunk_size=chunk_size,
-            backend=backend,
-            factory=factory,
-            workers=workers,
-            transport=transport,
-        )
+        return cls(factory, workers, chunk_size, transport=transport)
 
     @property
     def workers(self) -> int:
@@ -732,10 +616,10 @@ class ParallelSession:
         (the pcap front-end's native output,
         :func:`~repro.io.pcap.read_pcap_packed`) — in which case the packed
         transport copies each chunk's bytes straight into the ring, no
-        header ever decoded parent-side.  Holds for :meth:`feed`,
-        :meth:`arun` and :meth:`afeed` too.  On a replica failure, cancels
-        the outstanding chunks, re-raises the replica's error and leaves the
-        committed counters untouched (see the module failure contract).
+        header ever decoded parent-side.  Holds for :meth:`feed` too.  On a
+        replica failure, cancels the outstanding chunks, re-raises the
+        replica's error and leaves the committed counters untouched (see the
+        module failure contract).
         """
         self._execute(packets, retain=False)
         return self.stats()
@@ -751,94 +635,26 @@ class ParallelSession:
         """
         return BatchResult(self._execute(packets, retain=True))
 
-    async def afeed(
-        self, packets
-    ) -> AsyncIterator[Classification]:
-        """Asynchronously stream packets through the pool, yielding in order.
-
-        The asyncio front-end for live sources: ``packets`` is an async
-        iterable (a capture loop, a socket reader — plain iterables are
-        adapted too), and classifications are yielded in input order as
-        head-of-line chunks complete.  Backpressure is the same bounded
-        in-flight chunk window as the synchronous dispatch: when the window
-        is full, the producer is simply not pulled until the oldest chunk
-        has been absorbed — the event loop stays free while workers
-        classify.
-
-        Statistics commit into :meth:`stats` only when the stream is
-        consumed to the end; abandoning the generator (``break``/``aclose``)
-        or a replica failure aborts the run exactly like :meth:`run`.
-        """
-        stream = self._astream(packets, retain=True)
-        try:
-            async for chunk_results in stream:
-                for result in chunk_results:
-                    yield result
-        finally:
-            # Deterministic cleanup: closing this generator must abort the
-            # dispatch loop now (cancel chunks, release the ring), not
-            # whenever the garbage collector finalises the inner generator.
-            await stream.aclose()
-
-    async def arun(self, packets) -> SessionStats:
-        """Asynchronously shard one (async) iterable; return the merged stats.
-
-        The stats-only twin of :meth:`afeed`: retains nothing per packet, so
-        an arbitrarily long live feed runs in constant memory.
-        """
-        async for _ in self._astream(packets, retain=False):
-            pass
-        return self.stats()
-
     # -- dispatch core -------------------------------------------------------
-    def _use_packed(self) -> bool:
-        return self.transport == "packed"
+    def _dispatch_ring(self) -> Optional[SharedChunkRing]:
+        """The chunk ring of the packed transport (None on pickle).
 
-    def _new_ring(self) -> SharedChunkRing:
-        return SharedChunkRing(
-            slots=len(self._workers) * PIPELINE_DEPTH,
-            headers_per_slot=self.chunk_size,
-        )
-
-    def _acquire_ring(self) -> Optional[SharedChunkRing]:
-        """Claim a ring for one dispatch loop (None on non-packed transports).
-
-        The session keeps one ring warm across sequential runs; when dispatch
-        loops interleave (a ``feed()`` issued while an ``afeed()`` is
-        suspended mid-stream), each extra loop gets its own private ring —
-        slot accounting is per loop, so loops never starve or unlink each
-        other's segments.
+        A session runs one dispatch at a time, so one ring stays warm across
+        runs; a failed run unlinks it and the next run builds a fresh one.
         """
-        if not self._use_packed():
+        if self.transport != "packed":
             return None
-        if not self._ring_busy:
-            if self._ring is None or self._ring.closed:
-                self._ring = self._new_ring()
-            self._ring_busy = True
-            return self._ring
-        return self._new_ring()
-
-    def _return_ring(self, ring: Optional[SharedChunkRing], failed: bool) -> None:
-        """Give a dispatch loop's ring back (unlink it if private or poisoned)."""
-        if ring is None:
-            return
-        if ring is self._ring:
-            self._ring_busy = False
-            if failed:
-                self._release_ring()
-        else:
-            ring.close()
+        if self._ring is None:
+            self._ring = SharedChunkRing(
+                slots=len(self._workers) * PIPELINE_DEPTH,
+                headers_per_slot=self.chunk_size,
+            )
+        return self._ring
 
     def _release_ring(self) -> None:
         if self._ring is not None:
             self._ring.close()
             self._ring = None
-        self._ring_busy = False
-
-    @staticmethod
-    def _release_slot(ring: Optional[SharedChunkRing], slot: Optional[int]) -> None:
-        if slot is not None and ring is not None and not ring.closed:
-            ring.release(slot)
 
     def _submit(
         self,
@@ -848,10 +664,6 @@ class ParallelSession:
         ring: Optional[SharedChunkRing],
     ) -> _Inflight:
         """Submit one chunk round-robin over the configured transport."""
-        # Guards a dispatch loop resumed after close() (e.g. a suspended
-        # afeed() generator): the terminal-close contract promises a clean
-        # session-closed error, not an AttributeError from a dead executor.
-        self._check_open()
         worker_index = chunk_index % len(self._workers)
         worker = self._workers[worker_index]
         slot = None
@@ -870,6 +682,7 @@ class ParallelSession:
                 future = worker.submit(chunk, retain)
         return _Inflight(future, worker_index, chunk_index, slot)
 
+    @_closes_on_broken_worker
     def _execute(self, packets, retain: bool):
         self._check_open()
         for worker in self._workers:
@@ -878,7 +691,7 @@ class ParallelSession:
         retained: Optional[Dict[int, Tuple[Classification, ...]]] = {} if retain else None
         inflight: deque = deque()
         max_inflight = len(self._workers) * PIPELINE_DEPTH
-        ring = self._acquire_ring()
+        ring = self._dispatch_ring()
         try:
             for chunk_index, chunk in enumerate(
                 _iter_dispatch_chunks(packets, self.chunk_size)
@@ -889,9 +702,8 @@ class ParallelSession:
             while inflight:
                 self._absorb_one(inflight, pending, retained, ring)
         except BaseException:
-            self._abort(inflight, ring)
+            self._abort(inflight)
             raise
-        self._return_ring(ring, failed=False)
         # Only a fully successful run commits into the session counters.
         for committed, fresh in zip(self._committed, pending):
             committed.merge(fresh)
@@ -902,15 +714,12 @@ class ParallelSession:
             ordered.extend(retained[index])
         return tuple(ordered)
 
-    def _rehydrate(self, results) -> Optional[Tuple[Classification, ...]]:
+    def _rehydrate(self, results: _CompactChunk) -> Tuple[Classification, ...]:
         """Expand a compact wire chunk back into Classification records.
 
         Palette entries intern through the session-wide memo, so a record
-        repeated across chunks (or workers) rehydrates to one shared object;
-        thread-backend results pass through untouched.
+        repeated across chunks (or workers) rehydrates to one shared object.
         """
-        if not isinstance(results, _CompactChunk):
-            return results
         memo = self._result_memo
         interned = []
         for record in results.palette:
@@ -922,61 +731,18 @@ class ParallelSession:
         return tuple(interned[index] for index in results.indices)
 
     def _absorb_one(self, inflight, pending, retained, ring) -> None:
-        self._check_open()
         entry = inflight.popleft()
         try:
             outcome = entry.future.result()
         finally:
-            self._release_slot(ring, entry.slot)
+            if entry.slot is not None and not ring.closed:
+                ring.release(entry.slot)
         pending[entry.worker_index].absorb(outcome.counters)
         if retained is not None:
             retained[entry.chunk_index] = self._rehydrate(outcome.results)
 
-    async def _astream(self, packets, retain: bool):
-        """Async dispatch loop: yields each absorbed chunk's results in order.
-
-        Chunks are dispatched exactly like :meth:`_execute`; absorption
-        awaits the head-of-line future (``asyncio.wrap_future``) instead of
-        blocking, so input order is preserved and the event loop keeps
-        running while workers classify.
-        """
-        self._check_open()
-        for worker in self._workers:
-            worker.start()
-        pending = [RunningCounters() for _ in self._workers]
-        inflight: deque = deque()
-        max_inflight = len(self._workers) * PIPELINE_DEPTH
-        ring = self._acquire_ring()
-        try:
-            chunk_index = 0
-            async for chunk in _aiter_dispatch_chunks(packets, self.chunk_size):
-                if len(inflight) >= max_inflight:
-                    yield await self._aabsorb_one(inflight, pending, retain, ring)
-                inflight.append(self._submit(chunk, chunk_index, retain, ring))
-                chunk_index += 1
-            while inflight:
-                yield await self._aabsorb_one(inflight, pending, retain, ring)
-        except BaseException:
-            await self._aabort(inflight, ring)
-            raise
-        self._return_ring(ring, failed=False)
-        for committed, fresh in zip(self._committed, pending):
-            committed.merge(fresh)
-
-    async def _aabsorb_one(
-        self, inflight, pending, retain: bool, ring
-    ) -> Tuple[Classification, ...]:
-        self._check_open()  # closed mid-stream: fail clean, not CancelledError
-        entry = inflight.popleft()
-        try:
-            outcome = await asyncio.wrap_future(entry.future)
-        finally:
-            self._release_slot(ring, entry.slot)
-        pending[entry.worker_index].absorb(outcome.counters)
-        return self._rehydrate(outcome.results) if retain else ()
-
-    def _abort(self, inflight, ring) -> None:
-        """Cancel outstanding chunks, swallow late errors, retire this ring."""
+    def _abort(self, inflight) -> None:
+        """Cancel outstanding chunks, swallow late errors, retire the ring."""
         for entry in inflight:
             entry.future.cancel()
         for entry in inflight:
@@ -986,26 +752,7 @@ class ParallelSession:
                 except BaseException:
                     pass
         inflight.clear()
-        self._return_ring(ring, failed=True)
-
-    async def _aabort(self, inflight, ring) -> None:
-        """Async twin of :meth:`_abort`: drains without blocking the event loop.
-
-        An abandoned :meth:`afeed` or a replica failure must not stall every
-        other asyncio task while up to the in-flight window of chunks finishes
-        classifying, so the drain awaits the futures instead of blocking on
-        ``result()``.
-        """
-        for entry in inflight:
-            entry.future.cancel()
-        for entry in inflight:
-            if not entry.future.cancelled():
-                try:
-                    await asyncio.wrap_future(entry.future)
-                except BaseException:
-                    pass
-        inflight.clear()
-        self._return_ring(ring, failed=True)
+        self._release_ring()
 
     # -- control plane -------------------------------------------------------
     @property
@@ -1021,7 +768,7 @@ class ParallelSession:
         return self.control.begin()
 
     def apply(self, source) -> CommitResult:
-        """Apply a transaction/delta to every live replica, all-or-nothing.
+        """Apply a transaction/delta to every replica, all-or-nothing.
 
         ``source`` may be an open :class:`~repro.api.control.Txn` (a
         free-standing one, or one opened via :meth:`begin`), a bare
@@ -1030,15 +777,14 @@ class ParallelSession:
         primary classifier (its delta is re-broadcast, which is how an
         updated primary propagates to a serving pool).
 
-        Thread backend: the delta applies directly on each replica between
-        that replica's chunks (the single-lane executor serialises it under
-        the dispatch lock).  Process backend: the delta crosses as a message
-        over the existing executor transport, alongside any in-flight chunk
-        descriptors.  Either way a replica that fails the delta triggers a
-        session-wide rollback — every replica that already committed replays
-        the inverse delta — and the error propagates with nothing committed
-        (see :meth:`_broadcast_delta` for the dispatch-window and
-        label-numbering fine print).
+        The delta crosses to each worker as a message over its task channel,
+        alongside any in-flight chunk descriptors; it may be applied from
+        another thread while a dispatch runs.  A replica that fails the delta
+        triggers a session-wide rollback — every replica that already
+        committed replays the inverse delta — and the error propagates with
+        nothing committed (see :meth:`_broadcast_delta` for the
+        dispatch-window and label-numbering fine print).  A dead worker
+        closes the session instead (:class:`~repro.exceptions.WorkerError`).
         """
         self._check_open()
         if isinstance(source, Txn):
@@ -1060,6 +806,7 @@ class ParallelSession:
             )
         return self.control.apply_delta(source)
 
+    @_closes_on_broken_worker
     def _replica_program(self) -> RuleProgram:
         # Only replica 0 answers a program snapshot; no need to cold-start
         # the whole pool (a broadcast starts every worker itself).
@@ -1067,6 +814,7 @@ class ParallelSession:
         self._workers[0].start()
         return self._workers[0].program()
 
+    @_closes_on_broken_worker
     def _broadcast_delta(self, delta: Delta) -> Tuple[List[object], List[TxnOp]]:
         """Ship one delta to every replica; roll back session-wide on failure.
 
@@ -1076,7 +824,8 @@ class ParallelSession:
         the broadcast resolved (committed everywhere or rolled back
         everywhere); no chunk can be dispatched into the uncertainty window.
         Workers drain their lanes without the lock, so waiting on the delta
-        futures here cannot deadlock.
+        futures here cannot deadlock.  A dead worker is not a rejection: the
+        session closes, so the replicas that did commit are never served.
 
         After a rolled-back failure the pool's *rule programs* are identical
         again (nothing committed); the rolled-back replicas' internal label
@@ -1096,11 +845,12 @@ class ParallelSession:
                     commits.append((index, future.result()))
                 except BaseException as exc:
                     failures.append((index, exc))
+            _raise_if_broken(failures)
             if not failures:
                 first = commits[0][1]
                 return list(first.results), list(first.inverse.ops)
             # All-or-nothing session-wide: undo the replicas that committed.
-            rollback_errors: List[int] = []
+            rollback_errors: List[Tuple[int, BaseException]] = []
             undo = [
                 (index, self._workers[index].submit_delta(commit.inverse))
                 for index, commit in commits
@@ -1108,13 +858,15 @@ class ParallelSession:
             for index, future in undo:
                 try:
                     future.result()
-                except BaseException:
-                    rollback_errors.append(index)
+                except BaseException as exc:
+                    rollback_errors.append((index, exc))
+            _raise_if_broken(rollback_errors)
         failed_index, error = failures[0]
         if rollback_errors:
+            unrolled = [index for index, _ in rollback_errors]
             raise UpdateError(
                 f"replica {failed_index} rejected the delta and replica(s) "
-                f"{rollback_errors} failed the rollback; the pool may serve "
+                f"{unrolled} failed the rollback; the pool may serve "
                 "divergent rule programs — close the session"
             ) from error
         raise UpdateError(
@@ -1128,14 +880,14 @@ class ParallelSession:
             counters.reset()
 
     # -- aggregation ---------------------------------------------------------
+    @_closes_on_broken_worker
     def stats(self) -> SessionStats:
         """Merged statistics over everything successfully run through the pool.
 
-        On the process backend this may start the worker pool (the replica
-        name and memory footprint are reported by the workers; bring-up runs
-        in parallel across workers).  On a closed session the cached replica
-        info is used instead — stats of a closed process-backend session
-        that never ran are unavailable.
+        This may start the workers (the replica name and memory footprint
+        are reported by the workers; bring-up runs in parallel across
+        workers).  On a closed session the cached replica info is used
+        instead — stats of a closed session that never ran are unavailable.
         """
         if self._closed:
             parts = []
@@ -1156,40 +908,42 @@ class ParallelSession:
             parts.append(counters.to_stats(name, memory_bits, flow=worker.flow_stats()))
         return SessionStats.merge(parts)
 
+    @_closes_on_broken_worker
     def flow_cache_stats(self) -> Optional[Dict[str, object]]:
         """Merged flow-cache statistics across every replica.
 
         Counters (lookups / hits / misses / insertions / evictions /
         surgical drops / invalidations) and resident entries sum over the
         replicas; configuration fields (policy, per-replica capacity,
-        timeouts, predictor) come from replica 0, since :meth:`from_factory`
-        pools are homogeneous.  The merged ``hit_rate`` is re-derived from
-        the summed counters.  Returns ``None`` when the replicas carry no
-        flow cache.
+        timeouts, predictor) come from replica 0, since every worker builds
+        its replica from the same factory.  The merged ``hit_rate`` is
+        re-derived from the summed counters.  Returns ``None`` when the
+        replicas carry no flow cache.
         """
         self._check_open()
         return merge_flow_cache_stats([worker.flow_stats() for worker in self._workers])
 
+    @_closes_on_broken_worker
     def replica_details(self) -> Dict[str, object]:
         """Engine-specific details of replica 0 (``ClassifierStats.details``).
 
-        Representative of the deployment whenever the replicas are
-        homogeneous (every :meth:`from_factory` pool); on the process
-        backend the worker reports them (starting it if needed).
+        Representative of the deployment, since every worker builds its
+        replica from the same factory; the worker reports them (starting it
+        if needed).
         """
         self._check_open()
         return self._workers[0].details()
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Shut the worker pools down and release the shared-memory ring.
+        """Shut the worker processes down and release the shared-memory ring.
 
-        Idempotent and terminal: processes exit, threads join, the packed
-        transport's segment is unlinked (nothing lingers in ``/dev/shm``),
-        and any later :meth:`run`/:meth:`feed`/:meth:`arun`/:meth:`afeed`
-        raises :class:`~repro.exceptions.ConfigurationError`.  Committed
-        statistics stay readable via :meth:`stats` where the replica info is
-        already known.
+        Idempotent and terminal: processes exit, the packed transport's
+        segment is unlinked (nothing lingers in ``/dev/shm``), and any later
+        :meth:`run`/:meth:`feed` raises
+        :class:`~repro.exceptions.ConfigurationError`.  Committed statistics
+        stay readable via :meth:`stats` where the replica info is already
+        known.
         """
         self._closed = True
         for worker in self._workers:
@@ -1209,7 +963,4 @@ class ParallelSession:
             pass
 
     def __repr__(self) -> str:
-        return (
-            f"ParallelSession(workers={self.workers}, backend={self.backend}, "
-            f"transport={self.transport})"
-        )
+        return f"ParallelSession(workers={self.workers}, transport={self.transport})"

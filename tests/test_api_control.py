@@ -23,7 +23,7 @@ from repro.api.control import (
 from repro.core.classifier import ConfigurableClassifier
 from repro.core.config import CombinerMode, IpAlgorithm
 from repro.exceptions import UpdateError
-from repro.perf import ParallelSession
+from repro.perf import ParallelSession, ReplicaSpec
 from repro.rules.rule import Rule, RuleAction
 from repro.rules.ruleset import RuleSet
 
@@ -277,15 +277,16 @@ class TestDeltaFiles:
 
 
 class TestSessionBroadcast:
+    @staticmethod
+    def _pool(ruleset, workers: int = 1, **options) -> ParallelSession:
+        spec = ReplicaSpec("configurable", ruleset, options)
+        return ParallelSession.from_factory(spec, workers=workers, chunk_size=4)
+
     def test_commit_result_rebroadcast(self, handcrafted_ruleset, web_packet):
         """A commit on a primary propagates to a pool via apply()."""
         primary = create_classifier("configurable", handcrafted_ruleset)
         commit = primary.control.begin().remove(0).commit()
-        replicas = [
-            create_classifier("configurable", handcrafted_ruleset, fast=True)
-            for _ in range(2)
-        ]
-        with ParallelSession(replicas, chunk_size=4) as pool:
+        with self._pool(handcrafted_ruleset, workers=2, fast=True) as pool:
             pool.apply(commit)
             assert pool.control.version == 1
             fed = pool.feed([web_packet])
@@ -294,16 +295,14 @@ class TestSessionBroadcast:
     def test_apply_rejects_foreign_types(self, handcrafted_ruleset):
         from repro.exceptions import ConfigurationError
 
-        replicas = [create_classifier("configurable", handcrafted_ruleset)]
-        with ParallelSession(replicas, chunk_size=4) as pool:
+        with self._pool(handcrafted_ruleset) as pool:
             with pytest.raises(ConfigurationError, match="Txn, Delta or CommitResult"):
                 pool.apply(["not", "a", "delta"])
 
     def test_closed_session_refuses_transactions(self, handcrafted_ruleset):
         from repro.exceptions import ConfigurationError
 
-        replicas = [create_classifier("configurable", handcrafted_ruleset)]
-        pool = ParallelSession(replicas, chunk_size=4)
+        pool = self._pool(handcrafted_ruleset)
         pool.close()
         with pytest.raises(ConfigurationError, match="closed"):
             pool.begin()
@@ -315,25 +314,19 @@ class TestSessionBroadcast:
         restart worker pools when committed afterwards."""
         from repro.exceptions import ConfigurationError
 
-        replicas = [create_classifier("configurable", handcrafted_ruleset)]
-        pool = ParallelSession(replicas, chunk_size=4)
+        pool = self._pool(handcrafted_ruleset)
         txn = pool.begin().remove(0)
         pool.close()
         with pytest.raises(ConfigurationError, match="closed"):
             txn.commit()
-        # Nothing was applied and no executor was re-created.
-        assert 0 in {rule.rule_id for rule in replicas[0].control.program().rules}
+        # Nothing was applied and no worker process was re-created.
+        assert pool.control.version == 0
         assert all(worker._executor is None for worker in pool._workers)
 
     def test_free_standing_txn_rolls_out_to_several_pools(self, handcrafted_ruleset):
         """apply() snapshots an unbound Txn instead of consuming it."""
         txn = Txn().remove(0)
-        pools = [
-            ParallelSession(
-                [create_classifier("configurable", handcrafted_ruleset)], chunk_size=4
-            )
-            for _ in range(2)
-        ]
+        pools = [self._pool(handcrafted_ruleset) for _ in range(2)]
         try:
             for pool in pools:
                 pool.apply(txn)
@@ -350,8 +343,7 @@ class TestSessionBroadcast:
 
         primary = create_classifier("configurable", handcrafted_ruleset)
         foreign = primary.control.begin().remove(0)
-        replicas = [create_classifier("configurable", handcrafted_ruleset)]
-        with ParallelSession(replicas, chunk_size=4) as pool:
+        with self._pool(handcrafted_ruleset) as pool:
             with pytest.raises(ConfigurationError, match="another control plane"):
                 pool.apply(foreign)
 

@@ -100,10 +100,7 @@ class TestWorkloadCommands:
         out = capsys.readouterr().out
         assert "configurablex2" in out
         assert "Worker replicas" in out
-        assert any(
-            line.startswith("Worker backend") and line.endswith("thread")
-            for line in out.splitlines()
-        )
+        assert "Worker backend" not in out
 
     def test_classify_vectorized(self, capsys):
         assert main(["classify", "--size", "300", "--packets", "40",
@@ -111,14 +108,22 @@ class TestWorkloadCommands:
         assert "on (vectorized)" in capsys.readouterr().out
 
     def test_classify_process_backend(self, capsys):
+        # Two workers run the process pool over the resolved transport.
         assert main(["classify", "--size", "200", "--packets", "30", "--fast",
-                     "--workers", "2", "--backend", "process"]) == 0
+                     "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "configurablex2" in out
         assert any(
-            line.startswith("Worker backend") and line.endswith("process")
+            line.startswith("Chunk transport") and line.split()[-1] in ("packed", "pickle")
             for line in out.splitlines()
         )
+
+    def test_backend_and_async_feed_flags_removed(self, capsys):
+        for flags in (["--backend", "process"], ["--async-feed"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["classify", *flags])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["replay", "x.pcap", "--backend", "process"])
 
     def test_classify_packed_transport(self, capsys):
         from repro.perf import shared_memory_available
@@ -126,8 +131,7 @@ class TestWorkloadCommands:
         if not shared_memory_available():
             pytest.skip("platform grants no shared memory")
         assert main(["classify", "--size", "200", "--packets", "30", "--fast",
-                     "--workers", "2", "--backend", "process",
-                     "--transport", "packed"]) == 0
+                     "--workers", "2", "--transport", "packed"]) == 0
         out = capsys.readouterr().out
         assert any(
             line.startswith("Chunk transport") and line.endswith("packed")
@@ -138,25 +142,12 @@ class TestWorkloadCommands:
         # An explicit transport is never a silent no-op: one worker still
         # runs through a process pool over the requested transport.
         assert main(["classify", "--size", "200", "--packets", "30", "--fast",
-                     "--workers", "1", "--backend", "process",
-                     "--transport", "pickle"]) == 0
+                     "--workers", "1", "--transport", "pickle"]) == 0
         out = capsys.readouterr().out
         assert any(
             line.startswith("Chunk transport") and line.endswith("pickle")
             for line in out.splitlines()
         )
-
-    def test_classify_transport_rejected_on_thread_backend(self, capsys):
-        assert main(["classify", "--size", "200", "--packets", "30", "--fast",
-                     "--workers", "2", "--transport", "packed"]) == 2
-        assert "in-process" in capsys.readouterr().err
-
-    def test_classify_async_feed(self, capsys):
-        assert main(["classify", "--size", "300", "--packets", "40", "--fast",
-                     "--workers", "2", "--async-feed"]) == 0
-        out = capsys.readouterr().out
-        assert "Feed mode" in out
-        assert "async" in out
 
     def test_classify_fast_baseline_rejected(self, capsys):
         assert main(["classify", "--classifier", "hypercuts", "--size", "200",

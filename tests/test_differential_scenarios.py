@@ -1,8 +1,8 @@
 """Differential scenario battery: every lookup path against every other.
 
-The repo now ships seven ways to classify the same trace — per-packet, fast
-path, vectorized fast path, thread pool, process pool over the pickle and
-packed transports, and the asyncio front-end — each claiming bit-exactness.
+The repo ships five ways to classify the same trace — per-packet, fast
+path, vectorized fast path, and the process pool over the pickle and packed
+transports — each claiming bit-exactness.
 Instead of per-PR spot checks, this battery sweeps seeded-random scenarios
 (ClassBench flavor x combiner mode x trace shape, including the adversarial
 all-unique-flows and heavy-duplicate shapes) and asserts that **all** paths
@@ -20,7 +20,6 @@ own job; it is also part of the default (tier-1) suite.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -62,12 +61,6 @@ PROCESS_SCENARIOS = [
     ("ipc", "cross_product", "heavy_duplicate"),
     ("acl", "first_label", "all_unique"),
 ]
-
-ASYNC_SCENARIOS = [
-    ("acl", "cross_product", "mixed"),
-    ("fw", "first_label", "heavy_duplicate"),
-]
-
 
 @dataclass
 class ScenarioReference:
@@ -127,7 +120,7 @@ def echo_differential_seed():
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=_scenario_id)
 def test_inprocess_paths_agree(scenario, scenario_reference):
-    """per-packet == fast == vectorized == thread pool (== linear truth)."""
+    """per-packet == fast == vectorized (== linear truth)."""
     flavor, combiner, shape = scenario
     ref = scenario_reference(flavor, combiner, shape)
 
@@ -139,15 +132,6 @@ def test_inprocess_paths_agree(scenario, scenario_reference):
         "configurable", ref.ruleset, vectorized=True, **ref.options
     )
     assert list(vectorized.classify_batch(ref.trace).results) == ref.per_packet
-
-    # Thread-pool sharding over heterogeneous (fast + vectorized) replicas:
-    # input-order reassembly must reproduce the single-replica batch.
-    fast_replica = create_classifier(
-        "configurable", ref.ruleset, fast=True, **ref.options
-    )
-    with ParallelSession([fast_replica, vectorized], chunk_size=32) as pool:
-        fed = pool.feed(ref.trace)
-    assert list(fed.results) == ref.per_packet
 
     if combiner == CombinerMode.CROSS_PRODUCT.value:
         # Cross-product resolution is exact, so the linear scan agrees
@@ -192,7 +176,6 @@ MUTATION_PATHS = [
     "per_packet",
     "fast",
     "vectorized",
-    "thread",
     "process-pickle",
     "process-packed",
 ]
@@ -292,21 +275,11 @@ def _replay_schedule(path: str, mutation_workload):
                     _schedule_delta(schedule[index])
                 ).commit()
     else:
-        if path == "thread":
-            # Heterogeneous replicas: the broadcast must keep a plain fast
-            # replica and a vectorized one in lock-step.
-            replicas = [
-                create_classifier("configurable", initial_set, fast=True),
-                create_classifier("configurable", initial_set, vectorized=True),
-            ]
-            classifiers.extend(replicas)
-            session = ParallelSession(replicas, chunk_size=8)
-        else:
-            transport = path.split("-", 1)[1]
-            spec = ReplicaSpec("configurable", initial_set, {"fast": True})
-            session = ParallelSession.from_factory(
-                spec, workers=2, chunk_size=8, backend="process", transport=transport
-            )
+        transport = path.split("-", 1)[1]
+        spec = ReplicaSpec("configurable", initial_set, {"fast": True})
+        session = ParallelSession.from_factory(
+            spec, workers=2, chunk_size=8, transport=transport
+        )
         with session:
             for index, chunk in enumerate(chunks):
                 observed.extend(session.feed(chunk).results)
@@ -398,24 +371,21 @@ def test_mutation_failed_delta_rolls_back_session_wide(mutation_scenario):
     from repro.exceptions import UpdateError
 
     initial_set, chunks, schedule, oracle, reference = mutation_scenario
-    replicas = [
-        create_classifier("configurable", initial_set, fast=True),
-        create_classifier("configurable", initial_set, fast=True),
-    ]
+    spec = ReplicaSpec("configurable", initial_set, {"fast": True})
     victim = initial_set.rules()[0]
-    with ParallelSession(replicas, chunk_size=8) as session:
+    with ParallelSession.from_factory(spec, workers=2, chunk_size=8) as session:
         before = session.feed(chunks[0]).results
-        # Make replica 1 divergent behind the session's back, then broadcast
-        # a delta only replica 0 can apply.
-        replicas[1].control.begin().remove(victim.rule_id).commit()
+        workers = session._workers
+        # Make worker 1 divergent behind the session's back (through its own
+        # lane), then broadcast a delta only worker 0 can apply.
+        workers[1].submit_delta(Txn().remove(victim.rule_id).delta()).result()
         with pytest.raises(UpdateError, match="rolled back"):
             session.apply(Txn().remove(victim.rule_id))
-        # Replica 0 rolled its copy back: the rule is still installed there.
-        assert victim.rule_id in {
-            rule.rule_id for rule in replicas[0].control.program().rules
-        }
-        # Restore replica 1 and verify the pool still serves identically.
-        replicas[1].control.begin().insert(victim).commit()
+        assert session.control.version == 0
+        # Worker 0 rolled its copy back: the rule is still installed there.
+        assert victim.rule_id in {rule.rule_id for rule in workers[0].program().rules}
+        # Restore worker 1 and verify the pool still serves identically.
+        workers[1].submit_delta(Txn().insert(victim).delta()).result()
         assert session.feed(chunks[0]).results == before
 
 
@@ -477,26 +447,6 @@ def test_flowcache_inprocess_paths_agree(scenario, policy, scenario_reference):
 
 
 @pytest.mark.flowcache
-def test_flowcache_thread_pool_agrees(scenario_reference):
-    """Heterogeneous thread replicas, each with a private flow cache."""
-    ref = scenario_reference("acl", "cross_product", "zipf_churn")
-    replicas = [
-        create_classifier(
-            "configurable", ref.ruleset, fast=True, **_flow_options("idle")
-        ),
-        create_classifier(
-            "configurable", ref.ruleset, vectorized=True, **_flow_options("hybrid")
-        ),
-    ]
-    with ParallelSession(replicas, chunk_size=32) as pool:
-        fed = pool.feed(ref.trace)
-        merged = pool.flow_cache_stats()
-    assert list(fed.results) == ref.per_packet
-    assert merged is not None and merged["replicas"] == 2
-    assert merged["lookups"] == len(ref.trace)
-
-
-@pytest.mark.flowcache
 @pytest.mark.parametrize("transport", ["pickle", "packed"])
 def test_flowcache_process_pool_agrees(transport, scenario_reference):
     """Flow caches inside forked workers stay bit-exact over both transports."""
@@ -514,29 +464,6 @@ def test_flowcache_process_pool_agrees(transport, scenario_reference):
     assert list(fed.results) == ref.per_packet
     assert merged is not None and merged["lookups"] == len(ref.trace)
     assert merged["hits"] > 0
-
-
-@pytest.mark.flowcache
-def test_flowcache_async_feed_agrees(scenario_reference):
-    """The asyncio front-end over flow-cached replicas keeps input order."""
-    ref = scenario_reference("fw", "cross_product", "heavy_duplicate")
-
-    async def drive():
-        async def live_source():
-            for packet in ref.trace:
-                yield packet
-
-        replicas = [
-            create_classifier(
-                "configurable", ref.ruleset, fast=True,
-                **_flow_options("hybrid"), **ref.options,
-            )
-            for _ in range(2)
-        ]
-        with ParallelSession(replicas, chunk_size=32) as pool:
-            return [result async for result in pool.afeed(live_source())]
-
-    assert asyncio.run(drive()) == ref.per_packet
 
 
 @pytest.mark.flowcache
@@ -566,18 +493,11 @@ def test_flowcache_mutation_interleaved_paths_agree(path, flowcache_mutation_sce
         # deterministic unit battery instead of asserted here.
         assert cache.hits > 0
     else:
-        if path == "thread":
-            replicas = [
-                create_classifier("configurable", initial_set, fast=True, **flow),
-                create_classifier("configurable", initial_set, vectorized=True, **flow),
-            ]
-            session = ParallelSession(replicas, chunk_size=8)
-        else:
-            transport = path.split("-", 1)[1]
-            spec = ReplicaSpec("configurable", initial_set, {"fast": True, **flow})
-            session = ParallelSession.from_factory(
-                spec, workers=2, chunk_size=8, backend="process", transport=transport
-            )
+        transport = path.split("-", 1)[1]
+        spec = ReplicaSpec("configurable", initial_set, {"fast": True, **flow})
+        session = ParallelSession.from_factory(
+            spec, workers=2, chunk_size=8, transport=transport
+        )
         with session:
             for index, chunk in enumerate(chunks):
                 observed.extend(session.feed(chunk).results)
@@ -814,20 +734,6 @@ def test_ingest_roundtrip_inprocess_paths_agree(scenario, ingest_capture):
 
 
 @pytest.mark.ingest
-@pytest.mark.parametrize("scenario", INGEST_SCENARIOS, ids=_scenario_id)
-def test_ingest_packed_chunks_feed_thread_pool(scenario, ingest_capture):
-    """PackedChunk streams off the capture dispatch bit-exactly to a pool."""
-    ref, path = ingest_capture(*scenario)
-    replicas = [
-        create_classifier("configurable", ref.ruleset, fast=True, **ref.options),
-        create_classifier("configurable", ref.ruleset, vectorized=True, **ref.options),
-    ]
-    with ParallelSession(replicas, chunk_size=32) as pool:
-        fed = pool.feed(read_pcap_packed(path, chunk_size=32, ports="word"))
-    assert list(fed.results) == ref.per_packet
-
-
-@pytest.mark.ingest
 @pytest.mark.parametrize("transport", ["pickle", "packed"])
 def test_ingest_packed_chunks_cross_process(transport, ingest_capture):
     """The capture's packed words survive both process transports verbatim."""
@@ -852,24 +758,3 @@ def test_ingest_fabric_serves_capture_on_oracle(ingest_capture):
     fabric.install(ref.ruleset)
     result = fabric.serve(read_pcap(path, ports="word"))
     assert [r.rule_id for r in result.results] == ref.truth
-
-
-@pytest.mark.parametrize("scenario", ASYNC_SCENARIOS, ids=_scenario_id)
-def test_async_feed_agrees(scenario, scenario_reference):
-    """The asyncio front-end yields the same classifications, in input order."""
-    flavor, combiner, shape = scenario
-    ref = scenario_reference(flavor, combiner, shape)
-
-    async def drive():
-        async def live_source():
-            for packet in ref.trace:
-                yield packet
-
-        replicas = [
-            create_classifier("configurable", ref.ruleset, fast=True, **ref.options)
-            for _ in range(2)
-        ]
-        with ParallelSession(replicas, chunk_size=32) as pool:
-            return [result async for result in pool.afeed(live_source())]
-
-    assert asyncio.run(drive()) == ref.fast

@@ -268,13 +268,13 @@ class TestFabricServeFailure:
             assert switch.stats.packets_matched == expected.hits
 
     def test_serve_starts_no_worker_threads(self, monkeypatch):
-        """Serving calls each switch directly: no thread pool to start or lose."""
-        import repro.perf.parallel as parallel
+        """Serving calls each switch directly: no thread or pool to start or lose."""
+        import threading
 
         def refuse(*args, **kwargs):
             raise RuntimeError("injected: no threads available")
 
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         fabric, trace = self._served_fabric()
         result = fabric.serve(trace)
         assert result.packets == len(trace)
@@ -282,3 +282,55 @@ class TestFabricServeFailure:
         assert [record.rule_id for record in result.results] == [
             record.rule_id for record in expected
         ]
+
+
+class TestPoolWorkerDeath:
+    """A killed pool worker closes the session with a typed error.
+
+    The session must never keep serving (or stay half-committed) without
+    one of its replicas: whichever call meets the dead worker raises a
+    :class:`~repro.exceptions.ReproError` and leaves the session closed.
+    """
+
+    @staticmethod
+    def _pool_with_dead_worker(ruleset):
+        import os
+        import signal
+
+        from repro.perf import ParallelSession, ReplicaSpec
+
+        spec = ReplicaSpec("configurable", ruleset, {"vectorized": True, "flow_cache": True})
+        pool = ParallelSession.from_factory(spec, workers=2, chunk_size=16)
+        pool.stats()  # both workers up, replicas built
+        (process,) = pool._workers[1]._executor._processes.values()
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(timeout=10)
+        return pool
+
+    def test_run_after_worker_death_closes_with_typed_error(self, small_acl_ruleset, small_trace):
+        from repro.exceptions import ReproError
+
+        pool = self._pool_with_dead_worker(small_acl_ruleset)
+        try:
+            with pytest.raises(ReproError, match="worker process died"):
+                pool.run(small_trace)
+            assert pool.closed
+        finally:
+            pool.close()
+
+    def test_apply_after_worker_death_keeps_version_and_closes(self, small_acl_ruleset):
+        from repro.api.control import Txn
+        from repro.exceptions import ConfigurationError, ReproError
+
+        pool = self._pool_with_dead_worker(small_acl_ruleset)
+        victim = small_acl_ruleset.rules()[0]
+        try:
+            with pytest.raises(ReproError, match="worker process died"):
+                pool.apply(Txn().remove(victim.rule_id))
+            assert pool.closed
+            assert pool.control.version == 0
+            # The surviving worker's program is unreachable, never served.
+            with pytest.raises(ConfigurationError, match="closed"):
+                pool.control.program()
+        finally:
+            pool.close()

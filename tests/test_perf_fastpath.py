@@ -20,7 +20,7 @@ from repro.core.classifier import ConfigurableClassifier
 from repro.core.config import ClassifierConfig, CombinerMode, IpAlgorithm
 from repro.exceptions import ConfigurationError
 from repro.hardware.rule_filter import RuleFilterMemory
-from repro.perf import FastPathAccelerator, ParallelSession
+from repro.perf import FastPathAccelerator, ParallelSession, ReplicaSpec
 from repro.rules.classbench import ClassBenchGenerator, FilterFlavor
 from repro.rules.rule import Rule, RuleAction
 from repro.rules.trace import generate_flow_churn_trace, generate_trace
@@ -485,11 +485,12 @@ class TestParallelSession:
             create_classifier("configurable", small_acl_ruleset, fast=True), chunk_size=64
         ).run(small_trace)
         pool = ParallelSession.from_factory(
-            lambda: create_classifier("configurable", small_acl_ruleset, fast=True),
+            ReplicaSpec("configurable", small_acl_ruleset, {"fast": True}),
             workers=3,
             chunk_size=64,
         )
-        merged = pool.run(small_trace)
+        with pool:
+            merged = pool.run(small_trace)
         assert merged.packets == single.packets
         assert merged.matched == single.matched
         assert merged.truncated_lookups == single.truncated_lookups
@@ -502,29 +503,19 @@ class TestParallelSession:
 
     def test_generator_input_and_reset(self, small_acl_ruleset, small_trace):
         pool = ParallelSession.from_factory(
-            lambda: create_classifier("configurable", small_acl_ruleset), workers=2
+            ReplicaSpec("configurable", small_acl_ruleset), workers=2
         )
-        stats = pool.run(packet for packet in small_trace)
-        assert stats.packets == len(small_trace)
-        pool.reset()
-        assert pool.stats().packets == 0
+        with pool:
+            stats = pool.run(packet for packet in small_trace)
+            assert stats.packets == len(small_trace)
+            pool.reset()
+            assert pool.stats().packets == 0
 
     def test_invalid_worker_counts(self, small_acl_ruleset):
         with pytest.raises(ConfigurationError):
             ParallelSession.from_factory(lambda: None, workers=0)
         with pytest.raises(ConfigurationError):
-            ParallelSession([])
-
-    def test_heterogeneous_replicas_allowed(self, small_acl_ruleset, small_trace):
-        pool = ParallelSession(
-            [
-                create_classifier("configurable", small_acl_ruleset),
-                create_classifier("linear_search", small_acl_ruleset),
-            ]
-        )
-        stats = pool.run(small_trace)
-        assert stats.packets == len(small_trace)
-        assert stats.classifier == "configurable+linear_searchx2"
+            ParallelSession([], workers=1)
 
 
 class TestSessionStatsMerge:

@@ -1,19 +1,21 @@
-"""Tests for the ParallelSession backends (thread and process pools).
+"""Tests for the ParallelSession process pool.
 
 Covers the scale-out contracts of :mod:`repro.perf.parallel`: exact merged
-statistics and bit-identical results from both backends, the constant-memory
-bounded-chunk dispatch (the trace is never materialised), the
-commit-on-success failure semantics (a poisoned packet corrupts nothing),
-the picklable :class:`ReplicaSpec` worker recipe, and the
-:class:`SessionStats.merge` edge cases (re-merging merged stats, mixed
-latency parts, zero-packet parts).
+statistics and bit-identical results from the worker processes, the
+constant-memory bounded-chunk dispatch (the trace is never materialised),
+the commit-on-success failure semantics (a poisoned packet corrupts
+nothing), the picklable :class:`ReplicaSpec` worker recipe, the one
+accepted ``backend`` keyword, and the :class:`SessionStats.merge` edge cases
+(re-merging merged stats, mixed latency parts, zero-packet parts).
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import threading
 import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -28,11 +30,44 @@ from repro.rules.trace import generate_trace
 class PoisonedPacket(PacketHeader):
     """A header whose field segmentation explodes inside the classifier.
 
-    Module level so the process backend can pickle it into a worker.
+    Module level so the pickle transport can carry it into a worker.
     """
 
     def ip_segments(self):
         raise RuntimeError("poisoned packet")
+
+
+class GatedClassifier:
+    """A replica that classifies nothing until the gate file exists."""
+
+    name = "gated"
+
+    def __init__(self, gate: str) -> None:
+        self.gate = gate
+
+    def classify_batch(self, chunk):
+        deadline = time.monotonic() + 30
+        while not os.path.exists(self.gate) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return BatchResult(
+            tuple(
+                Classification(rule_id=None, priority=None, action=None, memory_accesses=0)
+                for _ in chunk
+            )
+        )
+
+    def memory_bits(self):
+        return 0
+
+
+@dataclass(frozen=True)
+class GatedFactory:
+    """Picklable factory of :class:`GatedClassifier` replicas."""
+
+    gate: str
+
+    def __call__(self) -> GatedClassifier:
+        return GatedClassifier(self.gate)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +164,10 @@ class TestProcessBackend:
             # The failed run contributed nothing: stats are exactly the
             # pre-failure commit, and the pool keeps working.
             assert pool.stats() == before
+            # A poison in the very first chunk aborts just as cleanly.
+            with pytest.raises(RuntimeError, match="poisoned packet"):
+                pool.run([PoisonedPacket(1, 2, 3, 4, 5)] + list(trace))
+            assert pool.stats() == before
             again = pool.run(trace)
             assert again.packets == 2 * before.packets
 
@@ -138,8 +177,10 @@ class TestProcessBackend:
 
     def test_rejects_replica_instances(self, small_acl_ruleset):
         replica = create_classifier("configurable", small_acl_ruleset)
-        with pytest.raises(ConfigurationError, match="picklable factory"):
-            ParallelSession([replica], backend="process")
+        with pytest.raises(ConfigurationError, match="picklable replica factory"):
+            ParallelSession.from_factory(replica, workers=1)
+        with pytest.raises(ConfigurationError, match="picklable replica factory"):
+            ParallelSession([replica], workers=1)
 
     def test_replica_details_reported_from_worker(self, spec):
         with ParallelSession.from_factory(spec, workers=1, backend="process") as pool:
@@ -152,8 +193,6 @@ class TestProcessBackend:
         pool.close()
         pool.close()
 
-
-class TestThreadBackend:
     def test_feed_matches_single(self, spec, reference):
         trace, batch, _, _ = reference
         with ParallelSession.from_factory(spec, workers=3, chunk_size=16) as pool:
@@ -161,45 +200,21 @@ class TestThreadBackend:
             assert list(fed.results) == list(batch.results)
             assert pool.replica_details()["fast_path"] is True
 
-    def test_poisoned_packet_leaves_counters_consistent(self, spec, reference):
-        trace, _, _, _ = reference
-        with ParallelSession.from_factory(spec, workers=3, chunk_size=16) as pool:
-            before = pool.run(trace)
-            poisoned = [PoisonedPacket(1, 2, 3, 4, 5)] + list(trace)
-            with pytest.raises(RuntimeError, match="poisoned packet"):
-                pool.run(poisoned)
-            assert pool.stats() == before
+    @pytest.mark.parametrize("backend", ["thread", "gevent"])
+    def test_unknown_backend_rejected(self, spec, backend):
+        """Only the process backend exists; the error names the replacements."""
+        with pytest.raises(ConfigurationError, match="ClassificationSession") as info:
+            ParallelSession.from_factory(spec, workers=2, backend=backend)
+        assert "to_thread(pool.feed, chunk)" in str(info.value)
 
-    def test_unknown_backend_rejected(self, spec):
-        with pytest.raises(ConfigurationError, match="unknown parallel backend"):
-            ParallelSession.from_factory(spec, workers=2, backend="gevent")
-
-    def test_streaming_never_materialises_the_trace(self):
+    def test_streaming_never_materialises_the_trace(self, tmp_path):
         """The dispatcher pulls at most the in-flight window ahead.
 
-        With every replica blocked, dispatch must stall after the bounded
-        chunk window — if the old list-materialising shard logic came back,
-        the generator would be drained dry before any worker ran.
+        With every worker blocked, dispatch must stall after the bounded
+        chunk window — if a list-materialising shard logic came back, the
+        generator would be drained dry before any worker ran.
         """
-        gate = threading.Event()
-
-        class BlockingClassifier:
-            name = "blocking"
-
-            def classify_batch(self, chunk):
-                gate.wait(timeout=30)
-                return BatchResult(
-                    tuple(
-                        Classification(
-                            rule_id=None, priority=None, action=None, memory_accesses=0
-                        )
-                        for _ in chunk
-                    )
-                )
-
-            def memory_bits(self):
-                return 0
-
+        gate = tmp_path / "gate"
         pulled = 0
         total = 5000
 
@@ -209,9 +224,10 @@ class TestThreadBackend:
                 pulled += 1
                 yield PacketHeader(1, 2, 3, 4, 5)
 
-        pool = ParallelSession(
-            [BlockingClassifier(), BlockingClassifier()], chunk_size=10
+        pool = ParallelSession.from_factory(
+            GatedFactory(str(gate)), workers=2, chunk_size=10, transport="pickle"
         )
+        pool.stats()  # bring both workers up before the clock starts
         runner = threading.Thread(target=pool.run, args=(counting_trace(),))
         runner.start()
         try:
@@ -220,11 +236,11 @@ class TestThreadBackend:
             # whose dispatch is stalled = 50 packets pulled.
             while pulled < 50 and time.monotonic() < deadline:
                 time.sleep(0.01)
-            time.sleep(0.1)  # would keep pulling if the bound were broken
+            time.sleep(0.2)  # would keep pulling if the bound were broken
             assert pulled <= 60, f"dispatcher pulled {pulled} packets ahead"
         finally:
-            gate.set()
-            runner.join(timeout=30)
+            gate.touch()
+            runner.join(timeout=60)
         assert not runner.is_alive()
         assert pool.stats().packets == total
         pool.close()

@@ -11,15 +11,14 @@ Three concerns, matching the layers of :mod:`repro.perf.transport`:
 * **session lifecycle** — double ``close()`` is idempotent, submitting to a
   closed :class:`~repro.perf.parallel.ParallelSession` raises cleanly on
   every entry point, segments are released on close *and* on poisoned-packet
-  abort, and the packed process backend is bit-exact with the thread backend
-  while pickling no :class:`~repro.rules.packet.PacketHeader` at all —
-  proven by making ``PacketHeader.__reduce__`` raise during dispatch.
+  abort, and the packed transport is bit-exact with one in-process
+  classifier while pickling no :class:`~repro.rules.packet.PacketHeader` at
+  all — proven by making ``PacketHeader.__reduce__`` raise during dispatch.
 """
 
 from __future__ import annotations
 
 import array
-import asyncio
 import os
 import random
 import struct
@@ -243,50 +242,17 @@ def transport_trace(small_acl_ruleset):
 
 
 class TestSessionLifecycle:
-    def test_thread_close_idempotent_and_terminal(self, transport_spec, transport_trace):
+    def test_close_idempotent_and_terminal(self, transport_spec, transport_trace):
         pool = ParallelSession.from_factory(transport_spec, workers=2, chunk_size=16)
         stats = pool.run(transport_trace)
         pool.close()
         pool.close()  # idempotent
         assert pool.closed
-        # Committed statistics stay readable after close on the thread backend.
+        # Committed statistics stay readable after close.
         assert pool.stats() == stats
         for call in (pool.run, pool.feed):
             with pytest.raises(ConfigurationError, match="closed"):
                 call(transport_trace)
-
-    def test_resumed_afeed_after_close_raises_cleanly(
-        self, transport_spec, transport_trace
-    ):
-        """Resuming a suspended afeed() generator after close() fails clean.
-
-        The terminal-close contract promises a session-closed
-        ConfigurationError, not an AttributeError from a torn-down executor
-        (or a CancelledError from its cancelled futures).
-        """
-        pool = ParallelSession.from_factory(transport_spec, workers=2, chunk_size=8)
-
-        async def drive():
-            agen = pool.afeed(transport_trace)
-            await agen.__anext__()
-            pool.close()
-            with pytest.raises(ConfigurationError, match="closed"):
-                while True:
-                    await agen.__anext__()
-
-        asyncio.run(drive())
-
-    def test_async_entry_points_raise_after_close(self, transport_spec, transport_trace):
-        pool = ParallelSession.from_factory(transport_spec, workers=1, chunk_size=16)
-        pool.close()
-
-        async def drive_afeed():
-            return [result async for result in pool.afeed(transport_trace)]
-
-        with pytest.raises(ConfigurationError, match="closed"):
-            asyncio.run(drive_afeed())
-        with pytest.raises(ConfigurationError, match="closed"):
-            asyncio.run(pool.arun(transport_trace))
 
     def test_process_stats_survive_close_after_feed_only(
         self, transport_spec, transport_trace
@@ -306,68 +272,11 @@ class TestSessionLifecycle:
         assert stats.classifier.startswith("configurable")
 
     @needs_shared_memory
-    def test_afeed_abandonment_aborts_and_session_recovers(
-        self, transport_spec, transport_trace
-    ):
-        """Breaking out of afeed() mid-stream aborts cleanly on the packed pool."""
-        before = _shm_entries()
-        with ParallelSession.from_factory(
-            transport_spec, workers=2, chunk_size=8,
-            backend="process", transport="packed",
-        ) as pool:
-
-            async def abandon():
-                agen = pool.afeed(transport_trace)
-                async for _ in agen:
-                    break
-                await agen.aclose()
-
-            asyncio.run(abandon())
-            # The abandoned run committed nothing and released its ring...
-            assert pool.stats().packets == 0
-            assert pool._ring is None
-            # ...and the session still classifies afterwards.
-            fed = pool.feed(transport_trace)
-            assert len(fed.results) == len(transport_trace)
-        assert _shm_entries() <= before
-
-    @needs_shared_memory
-    def test_interleaved_dispatch_on_packed_transport(
-        self, transport_spec, transport_trace
-    ):
-        """A feed() issued while an afeed() is suspended must not starve it.
-
-        The suspended afeed holds the session's warm ring, so the inner
-        feed() gets its own private ring — both complete bit-exact and no
-        segment leaks (regression: the inner dispatch used to exhaust the
-        shared slots and unlink the ring out from under the outer stream).
-        """
-        before = _shm_entries()
-        with ParallelSession.from_factory(
-            transport_spec, workers=2, chunk_size=8,
-            backend="process", transport="packed",
-        ) as pool:
-            expected = [r.rule_id for r in pool.feed(transport_trace).results]
-
-            async def interleave():
-                outer = []
-                inner = None
-                async for result in pool.afeed(transport_trace):
-                    outer.append(result.rule_id)
-                    if inner is None:
-                        inner = [
-                            r.rule_id for r in pool.feed(transport_trace).results
-                        ]
-                return outer, inner
-
-            outer, inner = asyncio.run(interleave())
-            assert outer == expected
-            assert inner == expected
-        assert _shm_entries() <= before
+    def test_packed_ring_released_on_close(self, transport_spec, transport_trace):
+        """The ring stays warm across runs and is unlinked by close()."""
         before = _shm_entries()
         pool = ParallelSession.from_factory(
-            transport_spec, workers=2, chunk_size=16,
-            backend="process", transport="packed",
+            transport_spec, workers=2, chunk_size=16, transport="packed"
         )
         try:
             pool.run(transport_trace)
@@ -417,17 +326,14 @@ class TestZeroCopyDispatch:
     def test_packed_transport_never_pickles_headers(
         self, monkeypatch, transport_spec, transport_trace
     ):
-        """Packed process backend == thread backend, with pickling forbidden.
+        """Packed transport == one in-process classifier, with pickling forbidden.
 
         ``PacketHeader.__reduce__`` is made to raise before any chunk is
         dispatched: the packed transport (headers cross as fixed-width words
         in shared memory, results come back as header-free records) must not
         notice, while the pickle transport must blow up on its first chunk.
         """
-        with ParallelSession.from_factory(
-            transport_spec, workers=2, chunk_size=16
-        ) as pool:
-            expected = pool.feed(transport_trace)
+        expected = transport_spec().classify_batch(transport_trace)
 
         monkeypatch.setattr(
             PacketHeader, "__reduce__", _poisoned_reduce, raising=False
@@ -468,13 +374,6 @@ class TestZeroCopyDispatch:
             ParallelSession.from_factory(
                 transport_spec, workers=1, backend="process", transport="packed"
             )
-
-    def test_thread_backend_rejects_explicit_transport(self, transport_spec):
-        with pytest.raises(ConfigurationError, match="in-process"):
-            ParallelSession.from_factory(
-                transport_spec, workers=1, backend="thread", transport="packed"
-            )
-
 
 class TestPackedChunkStreaming:
     """The bounded chunk packer and PackedChunk acceptance end to end."""
@@ -529,39 +428,35 @@ class TestPackedChunkStreaming:
         finally:
             ring.close()
 
-    def test_thread_pool_accepts_packed_chunk_stream(self, small_acl_ruleset):
-        from repro.api import create_classifier
+    def test_pickle_transport_accepts_packed_chunks(self, transport_spec):
         from repro.perf.transport import iter_packed_chunks
 
-        trace = generate_trace(small_acl_ruleset, count=90, seed=21)
-        replica = create_classifier("configurable", small_acl_ruleset, fast=True)
-        reference = list(replica.classify_batch(trace).results)
-        with ParallelSession([replica], chunk_size=16) as pool:
+        trace = generate_trace(transport_spec.ruleset, count=90, seed=21)
+        reference = list(transport_spec().classify_batch(trace).results)
+        with ParallelSession.from_factory(
+            transport_spec, workers=2, chunk_size=16, transport="pickle"
+        ) as pool:
             fed = pool.feed(iter_packed_chunks(trace, 16))
         assert list(fed.results) == reference
 
-    def test_oversized_packed_chunks_are_resliced(self, small_acl_ruleset):
-        from repro.api import create_classifier
+    def test_oversized_packed_chunks_are_resliced(self, transport_spec):
         from repro.perf.transport import iter_packed_chunks
 
-        trace = generate_trace(small_acl_ruleset, count=64, seed=22)
-        replica = create_classifier("configurable", small_acl_ruleset, fast=True)
-        reference = list(replica.classify_batch(trace).results)
-        with ParallelSession([replica], chunk_size=8) as pool:
+        trace = generate_trace(transport_spec.ruleset, count=64, seed=22)
+        reference = list(transport_spec().classify_batch(trace).results)
+        with ParallelSession.from_factory(transport_spec, workers=1, chunk_size=8) as pool:
             # One 64-header chunk into an 8-header session: re-sliced, not
             # rejected, and still bit-exact in order.
             fed = pool.feed(iter_packed_chunks(trace, 64))
             assert list(fed.results) == reference
             assert pool.stats().chunks == 8
 
-    def test_mixed_header_and_packed_stream_rejected(self, small_acl_ruleset):
-        from repro.api import create_classifier
+    def test_mixed_header_and_packed_stream_rejected(self, transport_spec):
         from repro.perf.transport import iter_packed_chunks
 
-        trace = generate_trace(small_acl_ruleset, count=16, seed=23)
+        trace = generate_trace(transport_spec.ruleset, count=16, seed=23)
         (chunk,) = iter_packed_chunks(trace, 16)
-        replica = create_classifier("configurable", small_acl_ruleset, fast=True)
-        with ParallelSession([replica], chunk_size=8) as pool:
+        with ParallelSession.from_factory(transport_spec, workers=1, chunk_size=8) as pool:
             with pytest.raises(ConfigurationError, match="mix"):
                 pool.feed([trace[0], chunk])
             with pytest.raises(ConfigurationError, match="mix"):
