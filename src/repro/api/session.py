@@ -209,7 +209,7 @@ class SessionStats:
     memory_bits: int
     #: Packets whose lookup was probe-budget truncated (see
     #: :class:`~repro.core.label_combiner.CombinerOutcome`) — a non-zero value
-    #: warns that some classifications may be inexact.
+    #: warns that some lookups fell back to a scan of the whole Rule Filter.
     truncated_lookups: int = 0
     #: Flow-cache serving counters (all zero when no flow cache is attached):
     #: lookups served by the tier, exact-match hits, and entries evicted

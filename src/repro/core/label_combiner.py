@@ -16,8 +16,10 @@ Matching Rule in the Rule Filter.  Two resolution modes are provided (see
 
 The probe ordering in cross-product mode walks combinations in order of the
 best per-field priorities so the expected number of probes before the HPMR is
-found stays small for realistic rule sets; an optional ``probe_budget`` guards
-pathological cross products.
+found stays small for realistic rule sets; a ``probe_budget`` caps the walk on
+pathological cross products.  A walk that exhausts it with candidates left
+finishes with one read of every Rule Filter slot, so the result stays exact
+and only its cost changes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ try:  # NumPy runs the cached cross-product walk on arrays; optional.
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
-__all__ = ["CombinerOutcome", "LabelCombiner", "DIMENSIONS"]
+__all__ = ["CombinerOutcome", "LabelCombiner", "DIMENSIONS", "SCAN_HOME"]
 
 #: The seven lookup dimensions in packing order.
 DIMENSIONS: Tuple[str, ...] = (
@@ -50,6 +52,10 @@ DIMENSIONS: Tuple[str, ...] = (
     "protocol",
 )
 
+#: Probe-log entry of an outcome finished by a Rule Filter scan: it depends on
+#: every slot, so any change to the filter may move it.
+SCAN_HOME = -1
+
 
 @dataclass(frozen=True)
 class CombinerOutcome:
@@ -60,8 +66,9 @@ class CombinerOutcome:
     memory_accesses: int
     cycles: int
     #: True when the cross-product walk hit ``probe_budget`` before every
-    #: candidate combination was probed — the returned entry may then not be
-    #: the true HPMR (or a real match may have been missed entirely).
+    #: candidate combination was probed.  The entry is then resolved by a
+    #: scan of the whole Rule Filter (still the exact HPMR), whose reads are
+    #: added to ``memory_accesses`` and ``cycles``.
     truncated: bool = False
 
 
@@ -103,6 +110,8 @@ class LabelCombiner:
         slot: it is stale only if the rule filter changed the lookup of a key
         homed at a logged slot — a dirty key's home or a changed home (see
         :meth:`~repro.hardware.rule_filter.RuleFilterMemory.drain_dirty`).
+        A truncated walk's outcome also logs :data:`SCAN_HOME`: it read every
+        slot, so any change to the filter may move it.
         """
         missing = [name for name in DIMENSIONS if name not in field_matches]
         if missing:
@@ -309,13 +318,7 @@ class LabelCombiner:
         if probe_log is not None:
             for part in homes:
                 probe_log.extend(part.tolist())
-        return CombinerOutcome(
-            entry=best,
-            probes=probes,
-            memory_accesses=accesses,
-            cycles=1 + probes,
-            truncated=truncated,
-        )
+        return self._finish_walk(ordered, best, probes, accesses, truncated, probe_log)
 
     def _walk_blocks(
         self, ordered, probe_cache, probe_log: Optional[list] = None
@@ -403,16 +406,11 @@ class LabelCombiner:
                     best_priority = entry.priority
                 if probes >= budget:
                     tail = itertools.chain(block[index + 1:], combinations)
-                    return CombinerOutcome(
-                        entry=best,
-                        probes=probes,
-                        memory_accesses=accesses,
-                        cycles=1 + probes,
-                        truncated=self._tail_has_candidates(tail, best),
+                    truncated = self._tail_has_candidates(tail, best)
+                    return self._finish_walk(
+                        ordered, best, probes, accesses, truncated, probe_log
                     )
-        return CombinerOutcome(
-            entry=best, probes=probes, memory_accesses=accesses, cycles=1 + probes
-        )
+        return self._finish_walk(ordered, best, probes, accesses, False, probe_log)
 
     # -- modes --------------------------------------------------------------------
     def _combine_first_label(
@@ -468,18 +466,54 @@ class LabelCombiner:
             if lookup.entry is not None and (best is None or lookup.entry.priority < best.priority):
                 best = lookup.entry
             if probes >= self.probe_budget:
-                # Budget exhausted: the result is inexact only if some
+                # Budget exhausted: the walk is cut short only if some
                 # remaining combination would actually have been probed (the
                 # priority bound prunes most of the tail).  The caller must be
                 # able to tell (the flag feeds LookupResult and the
                 # SessionStats truncation counter).
                 truncated = self._tail_has_candidates(combinations, best)
                 break
+        return self._finish_walk(lists, best, probes, accesses, truncated, probe_log)
+
+    def _finish_walk(
+        self,
+        lists,
+        best: Optional[RuleFilterEntry],
+        probes: int,
+        accesses: int,
+        truncated: bool,
+        probe_log: Optional[list],
+    ) -> CombinerOutcome:
+        """The outcome of a cross-product walk over ``lists``.
+
+        A truncated walk may have missed the HPMR, so it is finished by a
+        scan of every Rule Filter slot: the best entry whose labels all lie
+        in ``lists`` is the entry the whole walk would have found, because
+        the walk probes every such key unless the priority bound proves it
+        cannot win.  Shared by every walk, so their outcomes stay identical.
+        """
+        cycles = 1 + probes
+        if truncated:
+            allowed = [frozenset(label for label, _ in entries) for entries in lists]
+            unpack = self.layout.unpack
+            entries, reads = self.rule_filter.scan()
+            for entry in entries:
+                if best is not None and entry.priority >= best.priority:
+                    continue
+                if all(
+                    label in labels
+                    for label, labels in zip(unpack(entry.label_key), allowed)
+                ):
+                    best = entry
+            accesses += reads
+            cycles += reads
+            if probe_log is not None:
+                probe_log.append(SCAN_HOME)
         return CombinerOutcome(
             entry=best,
             probes=probes,
             memory_accesses=accesses,
-            cycles=1 + probes,
+            cycles=cycles,
             truncated=truncated,
         )
 
@@ -489,9 +523,10 @@ class LabelCombiner:
         Applies the same priority-bound prune test as the main walk — without
         issuing any memory access — so an exhausted budget whose remaining
         tail is entirely prunable is *not* reported as truncation (the result
-        is provably exact).  The scan is capped at ``probe_budget`` further
-        combinations: past that, truncation is reported conservatively rather
-        than walking a pathological cross product to its end.
+        is provably exact without a Rule Filter scan).  The check is capped
+        at ``probe_budget`` further combinations: past that, truncation is
+        reported conservatively rather than walking a pathological cross
+        product to its end.
         """
         if best is None:
             # Nothing matched yet, so any remaining combination is a live

@@ -55,8 +55,9 @@ class LookupResult:
     #: Number of Rule Filter probes the label combiner issued.
     combiner_probes: int
     #: True when the combiner's probe budget truncated the cross-product walk
-    #: before every candidate combination was visited — ``match`` may then be
-    #: wrong or missing (see :class:`~repro.core.label_combiner.CombinerOutcome`).
+    #: before every candidate combination was visited — ``match`` was then
+    #: resolved by a scan of the whole Rule Filter, whose reads the cost
+    #: fields include (see :class:`~repro.core.label_combiner.CombinerOutcome`).
     truncated: bool = False
 
     @property
@@ -168,8 +169,8 @@ class Classification:
     latency_cycles: Optional[int] = None
     #: Rule Filter probes issued, when the engine uses the label method.
     combiner_probes: Optional[int] = None
-    #: True when a probe budget truncated the lookup, making the outcome
-    #: potentially inexact (always False for engines without a budget).
+    #: True when a probe budget truncated the lookup's walk, leaving the match
+    #: to a slower exhaustive scan (always False for engines without a budget).
     truncated: bool = False
     #: The engine-specific result (LookupResult / ClassificationOutcome).
     detail: object = field(default=None, compare=False, repr=False)

@@ -384,6 +384,17 @@ class RuleFilterMemory(MutationEpoch):
             self._walks = (epoch, lengths, spans)
         return self._walks[1:]
 
+    def scan(self) -> Tuple[List[RuleFilterEntry], int]:
+        """Read every slot once: ``(stored entries in slot order, accesses)``.
+
+        The exhaustive read a cross-product walk falls back to when it runs
+        out of probe budget.  Each slot is one access, counted on the memory
+        in one bulk update.
+        """
+        depth = self.memory.depth
+        self.memory.count_reads(depth)
+        return [entry for _, entry in self.memory.items()], depth
+
     def entry_at(self, slot: int) -> Optional[RuleFilterEntry]:
         """The entry at a slot :meth:`lookup_batch` reported (its read is counted)."""
         return self.memory.peek(slot)

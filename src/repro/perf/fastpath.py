@@ -70,6 +70,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from repro.core.dimensions import DIMENSIONS, packet_dimension_values
 from repro.core.result import BatchResult, Classification
 from repro.core.invalidation import InvalidationScope, snapshot_marks
+from repro.core.label_combiner import SCAN_HOME
 from repro.perf.lru import BoundedCache, LRUCache
 from repro.rules.packet import PacketHeader
 
@@ -135,7 +136,8 @@ class FastPathAccelerator:
         # Scoped-invalidation dependency maps (fed by the probe logs of the
         # combiner walks): rule-filter home slot -> combiner-cache keys whose
         # outcome consumed a probe of a key homed there (at most one entry
-        # per filter slot); combiner key -> result-cache keys assembled from
+        # per filter slot, plus SCAN_HOME for outcomes finished by a scan of
+        # the whole filter); combiner key -> result-cache keys assembled from
         # it.  Evicted or dropped cache entries leave garbage references
         # behind, also across commits (pruning a garbage key is a no-op, so
         # staleness only ever over-invalidates); the registration budget
@@ -266,7 +268,8 @@ class FastPathAccelerator:
     def _drop_filter_deps(self, keys, homes) -> int:
         """Drop every outcome that probed a key whose lookup may have changed.
 
-        Outcomes registered under a dirty key's home or a changed home
+        Outcomes registered under a dirty key's home or a changed home, and
+        every outcome a Rule Filter scan finished (:data:`SCAN_HOME`),
         cascade into their result records.  The probe cache sheds the dirty
         keys (including any the walks resolved but pruned before consuming);
         it cannot find keys by home, so a changed home clears it whole.
@@ -283,6 +286,7 @@ class FastPathAccelerator:
             dropped = sum(probe_cache.discard(key) for key in keys)
         stale = set(homes)
         stale.update(self.classifier.rule_filter.hash_unit.hash_batch(keys))
+        stale.add(SCAN_HOME)
         for home in stale:
             combos = combos_by_home.pop(home, None)
             if not combos:

@@ -78,6 +78,20 @@ class TestLabelCombiner:
         outcome = combiner.combine(matches)
         assert outcome.truncated
 
+    def test_truncated_walk_finishes_with_a_filter_scan(self):
+        # The only stored rule sits past the budget: the walk misses it, the
+        # scan of every Rule Filter slot finds it, and its reads are charged.
+        combiner, layout, rule_filter = self.make_combiner(probe_budget=5)
+        rule_filter.insert(layout.pack((0, 0, 0, 0, 0, 40, 0)), Rule.build(50, 50))
+        matches = _matches(dst_port=tuple((label, 10 + label) for label in range(50)))
+        outcome = combiner.combine(matches)
+        assert outcome.truncated
+        assert outcome.probes == 5
+        assert outcome.entry is not None and outcome.entry.rule_id == 50
+        depth = rule_filter.memory.depth
+        assert outcome.memory_accesses == 5 + depth
+        assert outcome.cycles == 1 + 5 + depth
+
     def test_prunable_tail_after_budget_not_flagged(self):
         # The budget is hit after three probes, but every remaining
         # combination is pruned by the priority bound of the found rule:

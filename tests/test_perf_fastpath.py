@@ -22,7 +22,9 @@ from repro.exceptions import ConfigurationError
 from repro.hardware.rule_filter import RuleFilterMemory
 from repro.perf import FastPathAccelerator, ParallelSession, ReplicaSpec
 from repro.rules.classbench import ClassBenchGenerator, FilterFlavor
+from repro.rules.packet import PacketHeader
 from repro.rules.rule import Rule, RuleAction
+from repro.rules.ruleset import RuleSet
 from repro.rules.trace import generate_flow_churn_trace, generate_trace
 
 
@@ -579,6 +581,50 @@ class TestTruncationSignal:
         fast = classifier.classify_batch([web_packet, web_packet])
         assert list(fast.results) == list(slow.results)
         assert fast.truncated_lookups == slow.truncated_lookups == 2
+
+    # The one-probe walk over this rule set tries only (src 10/8, dst 2/8),
+    # which holds no rule, so the packet's match is left to the scan.
+    SCAN_PACKET = PacketHeader.from_strings("10.1.1.1", "2.2.2.2", 1000, 80, 6)
+    SCAN_RULES = (
+        Rule.build(0, 0, src="10.0.0.0/8", dst="1.0.0.0/8"),
+        Rule.build(1, 1, src="11.0.0.0/8", dst="2.0.0.0/8"),
+        Rule.build(2, 2, src="12.0.0.0/8"),
+        Rule.build(5, 5),
+    )
+
+    def _scan_classifier(self, **options):
+        classifier = create_classifier(
+            "configurable", RuleSet(list(self.SCAN_RULES), name="scan"), **options
+        )
+        classifier.combiner.probe_budget = 1
+        return classifier
+
+    def test_truncated_lookup_stays_exact(self):
+        classifier = self._scan_classifier()
+        result = classifier.classify(self.SCAN_PACKET)
+        assert result.truncated and result.rule_id == 5
+        for vectorized in (False, True):
+            classifier.enable_fast_path(vectorized=vectorized)
+            assert classifier.classify_batch([self.SCAN_PACKET])[0] == result
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_scoped_commit_drops_scan_finished_outcome(self, vectorized):
+        """A scoped commit reaches an outcome that a Rule Filter scan decided.
+
+        The inserted rule reuses labels whose priorities it does not change,
+        so the packet's label lists and the combiner key stay the same, and
+        its key was never probed: only the scan's dependency on every slot
+        drops the cached outcome.
+        """
+        classifier = self._scan_classifier(fast=True, vectorized=vectorized)
+        before = classifier.classify_batch([self.SCAN_PACKET])[0]
+        assert before.truncated and before.rule_id == 5
+        classifier.control.begin().insert(Rule.build(3, 3, src="10.0.0.0/8")).commit()
+        assert classifier._fast_path.cache_stats()["scoped_commits"] == 1
+        after = classifier.classify_batch([self.SCAN_PACKET])[0]
+        assert after.truncated and after.rule_id == 3
+        classifier.disable_fast_path()
+        assert classifier.classify_batch([self.SCAN_PACKET])[0] == after
 
     def test_untruncated_lookup_flag_false(self, handcrafted_ruleset, web_packet):
         classifier = ConfigurableClassifier.from_ruleset(handcrafted_ruleset)

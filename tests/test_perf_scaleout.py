@@ -164,12 +164,21 @@ class TestProcessBackend:
             # The failed run contributed nothing: stats are exactly the
             # pre-failure commit, and the pool keeps working.
             assert pool.stats() == before
-            # A poison in the very first chunk aborts just as cleanly.
-            with pytest.raises(RuntimeError, match="poisoned packet"):
-                pool.run([PoisonedPacket(1, 2, 3, 4, 5)] + list(trace))
-            assert pool.stats() == before
             again = pool.run(trace)
             assert again.packets == 2 * before.packets
+
+    def test_poisoned_first_chunk_leaves_counters_consistent(self, spec, reference):
+        # A poison in the very first chunk, with every worker busy, aborts
+        # just as cleanly (pickle transport, as above).
+        trace, _, _, _ = reference
+        with ParallelSession.from_factory(
+            spec, workers=3, chunk_size=16, backend="process", transport="pickle"
+        ) as pool:
+            before = pool.run(trace)
+            poisoned = [PoisonedPacket(1, 2, 3, 4, 5)] + list(trace)
+            with pytest.raises(RuntimeError, match="poisoned packet"):
+                pool.run(poisoned)
+            assert pool.stats() == before
 
     def test_requires_picklable_factory(self):
         with pytest.raises(ConfigurationError, match="picklable"):
