@@ -23,8 +23,19 @@ tuples in the same order, same ``memory_accesses``, same ``cycles`` — the
 walkers only restructure *how* the identical walk is executed.  Walkers watch
 their engine through the mutation-epoch surface
 (:class:`~repro.observers.MutationEpoch`): every ``resolve()`` compares the
-engine's epoch with the one the flattened view was built at and rebuilds
+engine's epoch with the one the flattened view was built at and refreshes
 lazily after any insert/remove/reprioritize.
+
+A control-plane commit hands each dimension's field spans (see
+:class:`~repro.core.invalidation.InvalidationScope`) to the walker through
+:meth:`BatchWalker.note_spans`.  :class:`TrieBatchWalker` then *patches* its
+view at the next ``resolve()``: it re-flattens only the first-level subtrees
+the spans touch, appending fresh node ids, which the field-span contract makes
+exact (a commit restructures or relabels no node outside the first-level
+subtrees of its spans).  Epochs remain the backstop: the whole view is
+rebuilt as before when the walker missed a commit, the engine was mutated
+outside one, a span is wide, orphaned flat nodes would outnumber live ones,
+or the walker is of another type.
 
 NumPy is used when importable (:data:`HAVE_NUMPY`); every walker also carries
 a pure-Python flat-array fallback so the module works on a bare interpreter.
@@ -69,8 +80,10 @@ class BatchWalker:
     :meth:`resolve` takes a sequence of values — deduplication is the
     caller's job — and returns one :class:`FieldLookupResult` per value, in
     input order, bit-exact with ``engine.lookup(value)``.  The flat view is
-    stamped with the engine's mutation epoch when built and rebuilt whenever
-    the epoch has advanced since.
+    stamped with the engine's mutation epoch when built and refreshed
+    whenever the epoch has advanced since: patched in place when
+    :meth:`note_spans` queued a patch for exactly the live epoch, rebuilt
+    otherwise.
     """
 
     def __init__(self, engine: SingleFieldEngine, use_numpy: Optional[bool] = None) -> None:
@@ -78,14 +91,28 @@ class BatchWalker:
         self.use_numpy = HAVE_NUMPY if use_numpy is None else (use_numpy and HAVE_NUMPY)
         #: Engine epoch the flat view was built at (None: never built).
         self._built_epoch: Optional[int] = None
-        #: Flat-view rebuilds performed so far (the initial build counts).
-        #: Rebuild cost is the vectorized path's share of every commit, so
-        #: the fast path surfaces the sum as ``walker_rebuilds``.
+        #: Engine epoch the queued patch brings the view to (None: no patch).
+        self._pending_epoch: Optional[int] = None
+        #: Full flat-view rebuilds performed so far (the initial build
+        #: counts).  Rebuild cost is the vectorized path's share of every
+        #: commit, so the fast path surfaces the sum as ``walker_rebuilds``.
         self.rebuilds = 0
+        #: Flat-view patches applied in place of a rebuild (``walker_patches``).
+        self.patches = 0
 
     def detach(self) -> None:
         """Drop the flat view (the next resolve rebuilds from the engine)."""
         self._built_epoch = None
+        self._pending_epoch = None
+
+    def note_spans(self, spans, pre_mark, post_mark) -> None:
+        """Queue a commit's field spans for the next :meth:`resolve`.
+
+        ``spans`` are the commit's inclusive value intervals for this
+        dimension; ``pre_mark`` / ``post_mark`` are the dimension's
+        ``(engine, epoch)`` marks around the commit.  This base view cannot
+        patch, so the next resolve rebuilds (the epoch moved).
+        """
 
     def resolve(self, values: Sequence[int]) -> List[FieldLookupResult]:
         """Resolve every value in one batch walk (input order preserved)."""
@@ -93,10 +120,18 @@ class BatchWalker:
             return []
         epoch = self.engine.mutation_epoch
         if self._built_epoch != epoch:
-            self._rebuild()
+            if self._pending_epoch == epoch and self._patch():
+                self.patches += 1
+            else:
+                self._rebuild()
+                self.rebuilds += 1
             self._built_epoch = epoch
-            self.rebuilds += 1
+            self._pending_epoch = None
         return self._resolve(values)
+
+    def _patch(self) -> bool:
+        """Apply the queued patch; False asks :meth:`resolve` to rebuild."""
+        return False
 
     def _rebuild(self) -> None:
         raise NotImplementedError
@@ -133,34 +168,97 @@ class TrieBatchWalker(BatchWalker):
     scalar lookup's :class:`~repro.labels.label_list.LabelList` merges them.  A
     batch lookup then needs only ``levels`` gather steps to find each value's
     terminal node (and its traversal depth, which is the access count).
+
+    A patch re-flattens the first-level subtrees the queued spans touch: their
+    nodes get fresh ids appended at every level and the root's child table
+    points at them, orphaning the old rows.  It rebuilds instead when the
+    spans touch more than a quarter of the first-level subtrees (a
+    whole-domain span, the only kind a change to the root's own labels
+    reports, always does) or when orphaned flat nodes would outnumber the
+    trie's live nodes, so the view never exceeds twice the trie.
     """
+
+    def note_spans(self, spans, pre_mark, post_mark) -> None:
+        engine, epoch = pre_mark
+        current = self._built_epoch if self._pending_epoch is None else self._pending_epoch
+        if engine is not self.engine or current != epoch:
+            # Never built, or behind the commit: the next resolve rebuilds.
+            self._pending_epoch = None
+            return
+        if self._pending_epoch is None:
+            self._touched = set()
+        shift = self._width - self._strides[0]
+        for low, high in spans:
+            self._touched.update(range(low >> shift, (high >> shift) + 1))
+        if len(self._touched) > (1 << self._strides[0]) // 4:
+            self._pending_epoch = None
+            return
+        self._pending_epoch = post_mark[1]
 
     def _rebuild(self) -> None:
         trie: MultibitTrie = self.engine
         self._width = trie.width
         self._strides = trie.strides
         root_matches = tuple(trie.root.labels.pairs())
-        self._matches: List[List[tuple]] = [[root_matches]]
-        tables: List[list] = []
-        frontier = [(trie.root, root_matches)]
-        for stride in trie.strides:
-            branch_count = 1 << stride
-            table = [-1] * (len(frontier) * branch_count)
-            next_frontier = []
-            level_matches = []
-            for node_id, (node, cumulative) in enumerate(frontier):
-                base = node_id * branch_count
-                for branch, child in node.children.items():
-                    table[base + branch] = len(next_frontier)
-                    merged = _merge_matches(cumulative, child.labels.pairs())
-                    next_frontier.append((child, merged))
-                    level_matches.append(merged)
-            tables.append(table)
-            self._matches.append(level_matches)
-            frontier = next_frontier
-        self._tables = tables
+        self._tables: List[list] = [[] for _ in trie.strides]
+        self._matches: List[List[tuple]] = [[root_matches]] + [[] for _ in trie.strides]
+        self._flatten(0, [(trie.root, root_matches)])
         if self.use_numpy:
-            self._np_tables = [_np.asarray(table, dtype=_np.int64) for table in tables]
+            self._np_tables = [_np.asarray(table, dtype=_np.int64) for table in self._tables]
+
+    def _patch(self) -> bool:
+        trie: MultibitTrie = self.engine
+        children = trie.root.children
+        root_table = self._tables[0]
+        root_matches = self._matches[0][0]
+        level_one = self._matches[1]
+        grown_from = [len(table) for table in self._tables]
+        frontier = []
+        for branch in sorted(self._touched):
+            child = children.get(branch)
+            if child is None:
+                root_table[branch] = -1
+                continue
+            root_table[branch] = len(level_one)
+            merged = _merge_matches(root_matches, child.labels.pairs())
+            level_one.append(merged)
+            frontier.append((child, merged))
+        self._flatten(1, frontier)
+        if sum(map(len, self._matches)) > 2 * trie.node_count():
+            return False  # orphaned rows outnumber live nodes
+        if self.use_numpy:
+            np_tables = self._np_tables
+            np_tables[0] = _np.asarray(root_table, dtype=_np.int64)
+            for level in range(1, len(np_tables)):
+                tail = self._tables[level][grown_from[level]:]
+                if tail:
+                    np_tables[level] = _np.concatenate(
+                        (np_tables[level], _np.asarray(tail, dtype=_np.int64))
+                    )
+        return True
+
+    def _flatten(self, level: int, frontier: list) -> None:
+        """Append the subtrees below ``frontier`` to the flat view.
+
+        ``frontier`` holds ``(node, cumulative matches)`` of nodes at
+        ``level`` whose ids are the next rows of that level's table; each
+        level below gets their rows and fresh ids for their children.
+        """
+        for stride, table, level_matches in zip(
+            self._strides[level:], self._tables[level:], self._matches[level + 1:]
+        ):
+            branch_count = 1 << stride
+            rows = [-1] * (len(frontier) * branch_count)
+            next_frontier = []
+            for index, (node, cumulative) in enumerate(frontier):
+                base = index * branch_count
+                for branch, child in node.children.items():
+                    rows[base + branch] = len(level_matches)
+                    merged = _merge_matches(cumulative, child.labels.pairs())
+                    level_matches.append(merged)
+                    next_frontier.append((child, merged))
+            table.extend(rows)
+            frontier = next_frontier
 
     def _check_range(self, values) -> None:
         limit = 1 << self._width

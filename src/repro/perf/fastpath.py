@@ -61,11 +61,23 @@ result, header and probe caches.  Interleaved transactional updates and
 batch lookups therefore stay correct without any callback registration, and
 the scheme survives process boundaries (a replica rebuilt in a worker starts
 cold at epoch 0).
+
+Epochs are the backstop.  A control-plane commit hands its
+:class:`~repro.core.invalidation.InvalidationScope` to
+:meth:`FastPathAccelerator.note_commit`, which makes the commit cost what it
+changes: field caches shed only the values inside the commit's spans, the
+batch walkers queue the same spans and patch their flattened views at the
+next batch instead of rebuilding them (see :mod:`repro.fields.vectorized`),
+and combiner / result entries drop only if their walk probed a Rule Filter
+home slot the commit moved.  Each combiner entry carries a small integer id,
+so the home-slot dependency map files ints rather than re-hashing the
+entry's label-list key once per probe.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from collections import defaultdict
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.dimensions import DIMENSIONS, packet_dimension_values
 from repro.core.result import BatchResult, Classification
@@ -134,17 +146,21 @@ class FastPathAccelerator:
         # scoped commit it is the InvalidationScope's own post-marks dict.
         self._marks: Dict[str, Tuple[object, int]] = {}
         # Scoped-invalidation dependency maps (fed by the probe logs of the
-        # combiner walks): rule-filter home slot -> combiner-cache keys whose
-        # outcome consumed a probe of a key homed there (at most one entry
-        # per filter slot, plus SCAN_HOME for outcomes finished by a scan of
-        # the whole filter); combiner key -> result-cache keys assembled from
-        # it.  Evicted or dropped cache entries leave garbage references
-        # behind, also across commits (pruning a garbage key is a no-op, so
+        # combiner walks).  Every combiner-cache entry is stored as
+        # (outcome, id) with a fresh integer id per miss: rule-filter home
+        # slot -> ids of the entries whose outcome consumed a probe of a key
+        # homed there (at most one list per filter slot, plus SCAN_HOME for
+        # outcomes finished by a scan of the whole filter); id -> its
+        # combiner key; id -> result-cache keys assembled from it.  Evicted
+        # or dropped cache entries leave garbage references behind, also
+        # across commits (pruning a garbage id or key is a no-op, so
         # staleness only ever over-invalidates); the registration budget
         # below bounds the garbage and falls back to wholesale flushing when
         # exceeded.
-        self._combos_by_home: Dict[int, set] = {}
-        self._results_by_combo: Dict[tuple, set] = {}
+        self._combos_by_home: Dict[int, List[int]] = defaultdict(list)
+        self._combo_keys: Dict[int, tuple] = {}
+        self._results_by_combo: Dict[int, set] = defaultdict(set)
+        self._next_combo_id = 0
         self._dep_registrations = 0
         self._dep_budget = 4 * header_cache_limit
         self._deps_overflow = False
@@ -208,10 +224,14 @@ class FastPathAccelerator:
         self._result_cache.clear()
         self._header_cache.clear()
         self._probe_cache.clear()
+        self._clear_deps()
+        self._deps_overflow = False
+
+    def _clear_deps(self) -> None:
         self._combos_by_home.clear()
+        self._combo_keys.clear()
         self._results_by_combo.clear()
         self._dep_registrations = 0
-        self._deps_overflow = False
 
     def invalidate(self) -> None:
         """Drop every cached lookup (all layers)."""
@@ -225,18 +245,25 @@ class FastPathAccelerator:
     def note_commit(self, scope: Optional[InvalidationScope]) -> None:
         """Apply a commit's exact blast radius instead of epoch-flushing.
 
-        Called by the control plane after a successful commit.  The scoped
-        drops are only sound if every cache entry was computed against the
-        pre-commit state, so they apply only when the accelerator's epoch
-        marks equal the scope's *pre* marks; the marks then advance to the
-        *post* marks and the next batch revalidates clean.  On any
-        mismatch (out-of-band mutations, a previous unscoped commit) this
-        does nothing and the ordinary epoch comparison at the next batch
-        flushes wholesale.
+        Called by the control plane after a successful commit.  Each batch
+        walker receives its dimension's spans and checks on its own that its
+        view is current at the scope's pre-commit epoch (see
+        :meth:`~repro.fields.vectorized.BatchWalker.note_spans`).  The
+        scoped cache drops are only sound if every cache entry was computed
+        against the pre-commit state, so they apply only when the
+        accelerator's epoch marks equal the scope's *pre* marks; the marks
+        then advance to the *post* marks and the next batch revalidates
+        clean.  On any mismatch (out-of-band mutations, a previous unscoped
+        commit) the caches are left alone and the ordinary epoch comparison
+        at the next batch flushes them wholesale.
         """
-        if scope is None or scope.wholesale or self._deps_overflow:
+        if scope is None or scope.wholesale:
             return
-        if self._marks != scope.pre_marks:
+        for name, spans in scope.field_spans.items():
+            walker = self._walkers.get(name)
+            if walker is not None:
+                walker.note_spans(spans, scope.pre_marks[name], scope.post_marks[name])
+        if self._deps_overflow or self._marks != scope.pre_marks:
             return
         dropped = 0
         # Field layer: lookups inside a span may have changed; the combiner /
@@ -244,11 +271,8 @@ class FastPathAccelerator:
         # self-correct.
         for name, spans in scope.field_spans.items():
             cache = self._field_caches[name]
-            stale = [
-                value
-                for value in cache.data
-                if any(low <= value <= high for low, high in spans)
-            ]
+            values = cache.data
+            stale = {value for low, high in spans for value in values if low <= value <= high}
             for value in stale:
                 cache.discard(value)
             dropped += len(stale)
@@ -275,6 +299,7 @@ class FastPathAccelerator:
         it cannot find keys by home, so a changed home clears it whole.
         """
         combos_by_home = self._combos_by_home
+        combo_keys = self._combo_keys
         results_by_combo = self._results_by_combo
         combiner_cache = self._combiner_cache
         result_cache = self._result_cache
@@ -288,12 +313,12 @@ class FastPathAccelerator:
         stale.update(self.classifier.rule_filter.hash_unit.hash_batch(keys))
         stale.add(SCAN_HOME)
         for home in stale:
-            combos = combos_by_home.pop(home, None)
-            if not combos:
-                continue
-            for combo_key in combos:
+            for combo_id in combos_by_home.pop(home, ()):
+                combo_key = combo_keys.pop(combo_id, None)
+                if combo_key is None:
+                    continue  # dropped through an earlier home
                 dropped += combiner_cache.discard(combo_key)
-                for result_key in results_by_combo.pop(combo_key, ()):
+                for result_key in results_by_combo.pop(combo_id, ()):
                     dropped += result_cache.discard(result_key)
         return dropped
 
@@ -404,8 +429,8 @@ class FastPathAccelerator:
         self.result_misses += 1
         track = not self._deps_overflow
         key = tuple(result.matches for result in result_key)
-        outcome = self._combiner_cache.get(key)
-        if outcome is None:
+        cached = self._combiner_cache.get(key)
+        if cached is None:
             probe_log: Optional[list] = [] if track else None
             if self.vectorized:
                 outcome = classifier.combiner.combine_with_cache(
@@ -416,21 +441,25 @@ class FastPathAccelerator:
                     {name: result.matches for name, result in field_results.items()},
                     probe_log,
                 )
-            self._combiner_cache.put(key, outcome)
+            combo_id = self._next_combo_id
+            self._next_combo_id += 1
+            self._combiner_cache.put(key, (outcome, combo_id))
             self.combiner_misses += 1
             if probe_log:
+                self._combo_keys[combo_id] = key
                 combos_by_home = self._combos_by_home
                 for home in probe_log:
-                    combos_by_home.setdefault(home, set()).add(key)
+                    combos_by_home[home].append(combo_id)
                 self._note_registrations(len(probe_log))
         else:
+            outcome, combo_id = cached
             self.combiner_hits += 1
         record = Classification.from_lookup(
             classifier._assemble_lookup(field_results, outcome)
         )
         self._result_cache.put(result_key, record)
         if track:
-            self._results_by_combo.setdefault(key, set()).add(result_key)
+            self._results_by_combo[combo_id].add(result_key)
             self._note_registrations(1)
         return record
 
@@ -439,16 +468,14 @@ class FastPathAccelerator:
 
         Evicted cache entries leave garbage references in the maps, so a
         never-repeating header stream would grow them without bound.  Once
-        registrations exceed the budget the maps are dropped and the next
-        commit skips its scoped pass (``note_commit`` leaves the marks
-        behind, forcing the ordinary wholesale flush that also resets the
-        overflow flag).
+        registrations plus the ids they name exceed the budget the maps are
+        dropped and the next commit skips its scoped pass (``note_commit``
+        leaves the marks behind, forcing the ordinary wholesale flush that
+        also resets the overflow flag).
         """
         self._dep_registrations += count
-        if self._dep_registrations > self._dep_budget:
-            self._combos_by_home.clear()
-            self._results_by_combo.clear()
-            self._dep_registrations = 0
+        if self._dep_registrations + len(self._combo_keys) > self._dep_budget:
+            self._clear_deps()
             self._deps_overflow = True
 
     # -- introspection --------------------------------------------------------
@@ -489,6 +516,9 @@ class FastPathAccelerator:
             "epoch_flushes": self.epoch_flushes,
             "walker_rebuilds": sum(
                 walker.rebuilds for walker in self._walkers.values()
+            ),
+            "walker_patches": sum(
+                walker.patches for walker in self._walkers.values()
             ),
             "dependency_registrations": self._dep_registrations,
             "dependency_overflow": int(self._deps_overflow),

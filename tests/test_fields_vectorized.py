@@ -4,24 +4,28 @@ The acceptance property is *bit-exact equivalence*: for every engine and
 every input value, ``batch_walker(engine).resolve(values)`` must equal
 ``[engine.lookup(v) for v in values]`` — matches, ordering, access counts
 and cycles — in both the NumPy and the pure-Python implementations.  Also
-covers walker invalidation on engine mutation, the batched hash/rule-filter
-primitives, the array combiner walk against the sequential one, and the
-bounded cache types.
+covers walker invalidation on engine mutation, the trie walker's in-place
+patch on commit spans, the batched hash/rule-filter primitives, the array
+combiner walk against the sequential one, and the bounded cache types.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diff_scenarios import DIFFERENTIAL_SEED
 from repro.api import create_classifier
 from repro.core.config import CombinerMode
 from repro.core.dimensions import DIMENSIONS
 from repro.core.label_combiner import LabelCombiner
 from repro.exceptions import ConfigurationError, FieldLookupError
+from repro.fields import vectorized
+from repro.fields.prefix import Prefix
 from repro.fields.vectorized import (
     HAVE_NUMPY,
     BstBatchWalker,
@@ -143,6 +147,175 @@ def test_trie_match_merge_equals_label_list(first, second):
         reference.add(label, priority)
     merged = _merge_matches(tuple(LabelList(first).pairs()), LabelList(second).pairs())
     assert merged == tuple(reference.pairs())
+
+
+#: Every value of a 16-bit IP segment.
+SEGMENT_DOMAIN = list(range(1 << 16))
+
+
+def _patching_classifier(ruleset, use_numpy, monkeypatch):
+    """A vectorized classifier whose trie walkers are built and current."""
+    monkeypatch.setattr(vectorized, "HAVE_NUMPY", use_numpy)
+    classifier = create_classifier("configurable", ruleset, fast=True, vectorized=True)
+    walkers = {
+        name: walker
+        for name, walker in classifier._fast_path._walkers.items()
+        if isinstance(walker, TrieBatchWalker)
+    }
+    assert len(walkers) == 4
+    for walker in walkers.values():
+        assert walker.use_numpy == use_numpy
+        walker.resolve([0])
+    return classifier, walkers
+
+
+def _assert_domain_exact(walker, engine_too=True):
+    """The walker resolves every segment value as a fresh walker (and the engine) do."""
+    resolved = walker.resolve(SEGMENT_DOMAIN)
+    fresh = batch_walker(walker.engine, use_numpy=walker.use_numpy)
+    assert resolved == fresh.resolve(SEGMENT_DOMAIN)
+    if engine_too:
+        lookup = walker.engine.lookup
+        assert resolved == [lookup(value) for value in SEGMENT_DOMAIN]
+
+
+def _spare_rule(rule_id, dst, priority=10_000):
+    """A rule whose dst /32 is new to the ACL set: a narrow structural span."""
+    return Rule.build(rule_id, priority, dst=dst, action=RuleAction.DROP)
+
+
+@pytest.mark.mutation
+class TestWalkerPatch:
+    """Trie walkers patch on commit spans and stay bit-exact with the engine."""
+
+    KINDS = ("insert", "remove", "reprioritize")
+
+    @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
+    def test_random_commits_stay_bit_exact(self, small_acl_ruleset, use_numpy, monkeypatch):
+        """Seeded inserts, removes and pure reprioritizations, checked per commit.
+
+        Commits run until each kind has moved a trie engine.  Every
+        walker whose engine moved must resolve the whole 16-bit domain
+        exactly as a freshly built walker and as ``engine.lookup`` do (~1 s
+        per walker); the others kept their view and their engine.
+        """
+        classifier, walkers = _patching_classifier(small_acl_ruleset, use_numpy, monkeypatch)
+        rng = random.Random(DIFFERENTIAL_SEED)
+        installed = dict(classifier.update_engine.rules)
+        checked = dict.fromkeys(self.KINDS, 0)
+        for step in range(90):
+            if min(checked.values()):
+                break
+            kind = self.KINDS[step % 3]
+            source = installed[rng.choice(sorted(installed))]
+            txn = classifier.control.begin()
+            if kind == "remove":
+                del installed[source.rule_id]
+                txn.remove(source.rule_id)
+            else:
+                # A copy shares every field spec, so it only reprioritizes the
+                # labels it now outranks; an insert also takes a fresh prefix.
+                rule = dataclasses.replace(
+                    source, rule_id=50_000 + step, priority=rng.randint(0, source.priority)
+                )
+                if kind == "insert":
+                    fresh = Prefix(rng.getrandbits(32), rng.randint(1, 32))
+                    field = rng.choice(("src_prefix", "dst_prefix"))
+                    rule = dataclasses.replace(rule, **{field: fresh})
+                txn.insert(rule)
+                installed[rule.rule_id] = rule
+            epochs = {name: walker.engine.mutation_epoch for name, walker in walkers.items()}
+            txn.commit()
+            moved = [
+                walker for name, walker in walkers.items()
+                if walker.engine.mutation_epoch != epochs[name]
+            ]
+            checked[kind] += bool(moved)
+            for walker in moved:
+                _assert_domain_exact(walker)
+        assert min(checked.values()), checked
+        assert sum(walker.patches for walker in walkers.values()) > 0
+
+    def _fallback(self, classifier, walkers, setup):
+        """Run ``setup`` and return the dst_ip_lo walker's (rebuilds, patches) delta."""
+        walker = walkers["dst_ip_lo"]
+        before = (walker.rebuilds, walker.patches)
+        epoch = walker.engine.mutation_epoch
+        setup(classifier)
+        assert walker.engine.mutation_epoch != epoch
+        _assert_domain_exact(walker, engine_too=False)
+        return walker.rebuilds - before[0], walker.patches - before[1]
+
+    @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
+    @pytest.mark.parametrize("commits", [1, 3])
+    def test_narrow_commits_patch_once(self, small_acl_ruleset, use_numpy, commits, monkeypatch):
+        """Commits with no traffic in between queue up into one patch."""
+        classifier, walkers = _patching_classifier(small_acl_ruleset, use_numpy, monkeypatch)
+
+        def setup(classifier):
+            for index in range(commits):
+                rule = _spare_rule(60_000 + index, f"10.1.2.{3 + index}/32")
+                classifier.control.begin().insert(rule).commit()
+
+        assert self._fallback(classifier, walkers, setup) == (0, 1)
+
+    @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
+    @pytest.mark.parametrize(
+        "case", ["length_zero_span", "behind_pre_epoch", "out_of_band_install", "wholesale"]
+    )
+    def test_fallbacks_rebuild(self, small_acl_ruleset, use_numpy, case, monkeypatch):
+        classifier, walkers = _patching_classifier(small_acl_ruleset, use_numpy, monkeypatch)
+        narrow = _spare_rule(60_000, "10.1.2.3/32")
+        other = _spare_rule(60_001, "10.1.2.4/32")
+
+        def setup(classifier):
+            control = classifier.control
+            if case == "length_zero_span":
+                # dst 10.77/16 leaves a length-0 prefix in the low segment:
+                # the root's own labels change, a whole-domain span.
+                control.begin().insert(_spare_rule(60_002, "10.77.0.0/16", priority=0)).commit()
+            elif case == "behind_pre_epoch":
+                classifier.install_rule(other)  # the walker misses this mutation
+                control.begin().insert(narrow).commit()
+            elif case == "out_of_band_install":
+                control.begin().insert(narrow).commit()
+                classifier.install_rule(other)  # moves the engine past the patch
+            else:
+                classifier.rule_filter.DIRTY_BUDGET = 0  # the scope degrades to wholesale
+                control.begin().insert(narrow).commit()
+
+        assert self._fallback(classifier, walkers, setup) == (1, 0)
+
+    @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
+    def test_patched_views_stay_within_twice_the_trie(
+        self, small_acl_ruleset, use_numpy, monkeypatch
+    ):
+        """200 single-op commits: orphaned rows never outnumber live nodes.
+
+        Random values spot-check exactness after every commit as well.
+        """
+        classifier, walkers = _patching_classifier(small_acl_ruleset, use_numpy, monkeypatch)
+        rng = random.Random(DIFFERENTIAL_SEED)
+        installed = sorted(classifier.update_engine.rules)
+        removed = {}
+        peak = 0.0
+        for _ in range(200):
+            txn = classifier.control.begin()
+            if removed and (len(removed) > 20 or rng.random() < 0.5):
+                txn.insert(removed.pop(rng.choice(sorted(removed))))
+            else:
+                rule_id = rng.choice([rid for rid in installed if rid not in removed])
+                removed[rule_id] = classifier.update_engine.rules[rule_id]
+                txn.remove(rule_id)
+            txn.commit()
+            for walker in walkers.values():
+                values = [rng.randrange(1 << 16) for _ in range(8)]
+                assert walker.resolve(values) == [walker.engine.lookup(v) for v in values]
+                flat = sum(map(len, walker._matches))
+                assert flat <= 2 * walker.engine.node_count()
+                peak = max(peak, flat / walker.engine.node_count())
+        assert sum(walker.patches for walker in walkers.values()) > 0
+        assert peak > 1.0  # patches did leave orphans behind
 
 
 class TestBatchedHashAndFilter:

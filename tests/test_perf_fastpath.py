@@ -419,6 +419,7 @@ class TestAdversarialStream:
             assert len(accelerator._combos_by_home) <= table_size
             held = sum(map(len, accelerator._combos_by_home.values()))
             held += sum(map(len, accelerator._results_by_combo.values()))
+            held += len(accelerator._combo_keys)
             assert held <= budget
             if not committed:
                 continue

@@ -10,6 +10,8 @@ stats plumbing through SessionStats / ParallelSession / cache_stats.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.control import Txn
 from repro.api.registry import create_classifier
@@ -17,14 +19,18 @@ from repro.api.session import ClassificationSession, SessionStats
 from repro.core.classifier import ConfigurableClassifier
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.perf.flowcache import (
+    _PACKET,
     DEFAULT_FLOW_CAPACITY,
     FlowCache,
     FrequencyPredictor,
     RecencyPredictor,
     resolve_predictor,
 )
+from repro.fields.prefix import Prefix
+from repro.fields.range_utils import PortRange
 from repro.perf.transport import HEADER_BYTES, pack_header, pack_headers
-from repro.rules.trace import generate_flow_churn_trace
+from repro.rules.rule import ProtocolMatch, Rule
+from repro.rules.trace import generate_flow_churn_trace, generate_trace
 
 pytestmark = pytest.mark.flowcache
 
@@ -402,6 +408,56 @@ class TestInvalidation:
         reference_out = reference.classify_batch(trace[200:])
         assert [r.rule_id for r in cached_out] == [r.rule_id for r in reference_out]
         assert cached.flow_cache.surgical_drops > 0 or cached.flow_cache.invalidations > 0
+
+
+@st.composite
+def _rules_near(draw, packets):
+    """Random rules, each field drawn around a resident flow or at random."""
+    anchor = draw(st.sampled_from(packets))
+
+    def prefix(point):
+        value = point if draw(st.booleans()) else draw(st.integers(0, (1 << 32) - 1))
+        return Prefix(value, draw(st.integers(0, 32)))
+
+    def ports(point):
+        low = draw(st.integers(0, point))
+        return PortRange(low, draw(st.integers(max(low, point - 1), 0xFFFF)))
+
+    protocol = draw(
+        st.sampled_from(
+            [ProtocolMatch.any(), ProtocolMatch.exact(anchor.protocol), ProtocolMatch.exact(17)]
+        )
+    )
+    return Rule(
+        rule_id=10_000,
+        priority=0,
+        src_prefix=prefix(anchor.src_ip),
+        dst_prefix=prefix(anchor.dst_ip),
+        src_port=ports(anchor.src_port),
+        dst_port=ports(anchor.dst_port),
+        protocol=protocol,
+    )
+
+
+class TestInsertScan:
+    """The insert-commit victim scan over packed keys against ``Rule.matches``."""
+
+    @pytest.fixture(scope="class")
+    def resident(self, small_acl_ruleset):
+        classifier = _flow_classifier(small_acl_ruleset)
+        packets = generate_trace(small_acl_ruleset, count=400, seed=91)
+        classifier.classify_batch(packets)
+        return classifier.flow_cache, packets
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_victims_equal_rule_matches(self, resident, data):
+        cache, packets = resident
+        rule = data.draw(_rules_near(packets))
+        expected = [
+            key for key, entry in cache._entries.items() if rule.matches(entry[_PACKET])
+        ]
+        assert cache._matching_keys(rule) == expected
 
 
 # ---------------------------------------------------------------------------
