@@ -10,7 +10,7 @@ analysis) agrees on the encoding.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.core.label_combiner import DIMENSIONS
 from repro.fields.prefix import prefix_range, split_prefix_segments
@@ -23,6 +23,7 @@ __all__ = [
     "PORT_DIMENSIONS",
     "rule_dimension_specs",
     "packet_dimension_values",
+    "packet_dimension_columns",
     "dimension_label_width",
     "spec_interval",
 ]
@@ -65,6 +66,26 @@ def packet_dimension_values(packet: PacketHeader) -> Dict[str, int]:
         "src_port": packet.src_port,
         "dst_port": packet.dst_port,
         "protocol": packet.protocol,
+    }
+
+
+def packet_dimension_columns(packets: Sequence[PacketHeader]) -> Dict[str, List[int]]:
+    """Return the per-dimension lookup keys of many headers, one column each.
+
+    Column ``name`` holds ``packet_dimension_values(packet)[name]`` for every
+    packet, in input order; the columns are read straight from the header
+    fields, one pass per field.
+    """
+    src = [packet.src_ip for packet in packets]
+    dst = [packet.dst_ip for packet in packets]
+    return {
+        "src_ip_hi": [ip >> 16 for ip in src],
+        "src_ip_lo": [ip & 0xFFFF for ip in src],
+        "dst_ip_hi": [ip >> 16 for ip in dst],
+        "dst_ip_lo": [ip & 0xFFFF for ip in dst],
+        "src_port": [packet.src_port for packet in packets],
+        "dst_port": [packet.dst_port for packet in packets],
+        "protocol": [packet.protocol for packet in packets],
     }
 
 

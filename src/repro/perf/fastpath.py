@@ -7,19 +7,23 @@ recomputes every engine walk, every combiner cross-product and every result
 record from scratch for each packet; the fast path memoizes four layers:
 
 1. **Field layer** — one cache per dimension mapping the packet's field value
-   to the engine's (immutable) :class:`~repro.fields.base.FieldLookupResult`.
+   to the integer id of the engine's (immutable)
+   :class:`~repro.fields.base.FieldLookupResult`.  Each dimension interns its
+   distinct results under ids drawn from one counter that never repeats, so
+   the thousands of field values sharing a label list share one result
+   object, and equal ids mean equal results.
 2. **Combiner layer** — a cache keyed by the packed tuple of per-dimension
    label lists mapping to the (immutable)
    :class:`~repro.core.label_combiner.CombinerOutcome`.  Distinct field
    values that resolve to the same label lists share one entry, so this layer
    hits even when the field layer misses.
-3. **Result layer** — a cache keyed by the tuple of per-dimension field
-   results (the label tuple together with its cost vector) mapping to the
-   finished :class:`~repro.core.result.Classification`.  Distinct headers
-   that resolve to the same per-dimension results share one finished record,
-   so the assembly step (cycle report, access accounting, record
-   construction) — the residue left after the field and combiner layers hit —
-   runs once per distinct result tuple instead of once per distinct header.
+3. **Result layer** — a cache keyed by the tuple of the seven field-result
+   ids mapping to the finished :class:`~repro.core.result.Classification`.
+   Distinct headers that resolve to the same per-dimension results share one
+   finished record, so the assembly step (cycle report, access accounting,
+   record construction) — the residue left after the field and combiner
+   layers hit — runs once per distinct result tuple instead of once per
+   distinct header.  Only its misses fetch the interned results back.
 4. **Header layer** — a cache keyed by the full 5-tuple header mapping to the
    finished :class:`~repro.core.result.Classification` (flow locality makes
    repeated headers common in practice).  It short-circuits every layer
@@ -29,19 +33,25 @@ record from scratch for each packet; the fast path memoizes four layers:
 Every layer is a bounded :class:`~repro.perf.lru.LRUCache`: an adversarial
 stream of never-repeating flows evicts instead of growing without bound, and
 the eviction counts are reported by :meth:`FastPathAccelerator.cache_stats`.
+A dimension's intern table is dropped together with its field cache (on an
+epoch move, on :meth:`~FastPathAccelerator.invalidate` and whenever a batch
+leaves it at the field-cache limit); ids are never reused, so a result key
+naming a dropped id can only miss.
 
-**Vectorized cold path** (``vectorized=True``): the expensive part of a cold
-batch is the first resolution of each unique value and label combination.  In
-vectorized mode the accelerator first sweeps the batch for unique *uncached*
-field values per dimension and resolves them in one pass through the
-:mod:`repro.fields.vectorized` batch walkers (NumPy when available), then
-resolves combiner misses through
+**One columnar pass per batch**, in both modes: probe the header layer once
+per packet and group the distinct misses; read the misses' seven dimension
+columns straight from the header fields; resolve each dimension's distinct
+uncached values in one call; then look the id tuples up in the result layer.
+The modes differ only in what resolves.  The plain mode calls the engine's
+``lookup`` per value and the combiner's ``combine``.  The vectorized mode
+(``vectorized=True``) resolves the values in one pass through the
+:mod:`repro.fields.vectorized` batch walkers (NumPy when available) and
+combiner misses through
 :meth:`~repro.core.label_combiner.LabelCombiner.combine_with_cache` — an
 exact cross-product walk that, with NumPy, resolves every combination's key
 in one array rule-filter lookup.  Without NumPy it pre-packs keys in blocks
 and replays repeated rule-filter probes from a fifth, key-level **probe
-cache** (which stays empty when NumPy is present).  The vectorized mode
-materialises its input batch (chunked callers — sessions — bound this).
+cache** (which stays empty when NumPy is present).
 
 Results are *bit-exact* with the per-packet path in every mode: every cached
 object is immutable and deterministic given the installed rules, and the
@@ -79,10 +89,11 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.dimensions import DIMENSIONS, packet_dimension_values
+from repro.core.dimensions import DIMENSIONS, packet_dimension_columns
 from repro.core.result import BatchResult, Classification
 from repro.core.invalidation import InvalidationScope, snapshot_marks
 from repro.core.label_combiner import SCAN_HOME
+from repro.fields.base import FieldLookupResult
 from repro.perf.lru import BoundedCache, LRUCache
 from repro.rules.packet import PacketHeader
 
@@ -93,13 +104,13 @@ __all__ = ["FastPathAccelerator"]
 #: classifications is a few hundred MB at most and far beyond any realistic
 #: working set.
 DEFAULT_HEADER_CACHE_LIMIT = 1 << 20
-#: Per-dimension field-cache bound; a 16-bit dimension has at most 65536
-#: distinct values, so this never evicts for the IP/port engines in practice
-#: while still bounding custom wider engines.
+#: Per-dimension field-cache bound (and intern-table bound); a 16-bit
+#: dimension has at most 65536 distinct values, so this never evicts for the
+#: IP/port engines in practice while still bounding custom wider engines.
 DEFAULT_FIELD_CACHE_LIMIT = 1 << 16
 #: Combiner-outcome cache bound (keys are label-list tuple combinations).
 DEFAULT_COMBINER_CACHE_LIMIT = 1 << 16
-#: Result-memo bound (keys are per-dimension field-result tuples).
+#: Result-memo bound (keys are per-dimension field-result id tuples).
 DEFAULT_RESULT_CACHE_LIMIT = 1 << 17
 #: Rule-filter probe cache bound (vectorized mode; keys are packed 68-bit keys).
 DEFAULT_PROBE_CACHE_LIMIT = 1 << 18
@@ -134,6 +145,17 @@ class FastPathAccelerator:
         self._field_caches: Dict[str, LRUCache] = {
             name: LRUCache(field_cache_limit) for name in DIMENSIONS
         }
+        # Per-dimension intern tables (result -> id and id -> result); the
+        # field caches map values to these ids.  One counter issues every id
+        # and is never rewound, so an id names one result for the
+        # accelerator's whole life.
+        self._field_ids: Dict[str, Dict[FieldLookupResult, int]] = {
+            name: {} for name in DIMENSIONS
+        }
+        self._field_results: Dict[str, Dict[int, FieldLookupResult]] = {
+            name: {} for name in DIMENSIONS
+        }
+        self._next_field_id = 0
         self._combiner_cache = LRUCache(combiner_cache_limit)
         self._result_cache = LRUCache(result_cache_limit)
         self._header_cache = LRUCache(header_cache_limit)
@@ -171,9 +193,8 @@ class FastPathAccelerator:
         #: validation — every commit *not* absorbed by a scoped drop lands here.
         self.epoch_flushes = 0
         # Hit/miss counters per memoization layer (benchmark/report fodder).
-        # In vectorized mode field misses are mostly counted by the batch
-        # pre-pass; the per-packet walk then counts hits (plus the misses of
-        # whatever exceeded a cache bound or was evicted meanwhile).
+        # A header seen twice in one batch is one miss and one hit; every
+        # header miss counts one field hit or miss per dimension.
         self.header_hits = 0
         self.header_misses = 0
         self.field_hits = 0
@@ -198,15 +219,15 @@ class FastPathAccelerator:
         Runs at the head of every batch: compares each engine's and the Rule
         Filter's :class:`~repro.observers.MutationEpoch` counter against the
         snapshot taken when the caches were last validated.  A moved engine
-        drops its dimension's field cache and every derived layer; a moved
-        Rule Filter drops the derived layers only.
+        drops its dimension's field cache and intern table and every derived
+        layer; a moved Rule Filter drops the derived layers only.
         """
         marks = snapshot_marks(self.classifier)
         if marks == self._marks:
             return
         for name in DIMENSIONS:
             if self._marks.get(name) != marks[name]:
-                self._field_caches[name].clear()
+                self._drop_field_layer(name)
         if self._marks:
             self.epoch_flushes += 1
         self._marks = marks
@@ -233,10 +254,16 @@ class FastPathAccelerator:
         self._results_by_combo.clear()
         self._dep_registrations = 0
 
+    def _drop_field_layer(self, name: str) -> None:
+        """Drop one dimension's field cache together with its intern table."""
+        self._field_caches[name].clear()
+        self._field_ids[name].clear()
+        self._field_results[name].clear()
+
     def invalidate(self) -> None:
         """Drop every cached lookup (all layers)."""
-        for cache in self._field_caches.values():
-            cache.clear()
+        for name in DIMENSIONS:
+            self._drop_field_layer(name)
         self._sort_memo.clear()
         self._marks = {}
         self._invalidate_outcomes()
@@ -267,8 +294,8 @@ class FastPathAccelerator:
             return
         dropped = 0
         # Field layer: lookups inside a span may have changed; the combiner /
-        # result layers are keyed by the lookup *values* and therefore
-        # self-correct.
+        # result layers are keyed by the lookup *results* (label lists, result
+        # ids) and therefore self-correct.
         for name, spans in scope.field_spans.items():
             cache = self._field_caches[name]
             values = cache.data
@@ -324,111 +351,121 @@ class FastPathAccelerator:
 
     # -- classification -------------------------------------------------------
     def classify_batch(self, packets: Iterable[PacketHeader]) -> BatchResult:
-        """Classify ``packets``, reusing memoized work across the batch."""
+        """Classify ``packets``, reusing memoized work across the batch.
+
+        One columnar pass: the header layer is probed once per packet, and
+        only the batch's distinct misses go on to the field and result
+        layers (:meth:`_classify_misses`).
+        """
         self._validate_epochs()
-        if self.vectorized:
-            packets = packets if isinstance(packets, (list, tuple)) else list(packets)
-            self._prefetch_fields(packets)
-        header_cache = self._header_cache
         # Inlined LRU hit path (get + recency touch) — this loop is the warm
         # fast path, well above a million packets per second.
+        header_cache = self._header_cache
         header_data = header_cache.data
         header_get = header_data.get
         touch = header_data.move_to_end
-        classify = self._classify_uncached
-        put = header_cache.put
+        misses: Dict[PacketHeader, int] = {}
+        group = misses.setdefault
+        holes = []  # (position, index of the distinct miss) per missed packet
         hits = 0
-        misses = 0
         results = []
         append = results.append
-        for packet in packets:
+        for position, packet in enumerate(packets):
             cached = header_get(packet)
             if cached is None:
-                cached = classify(packet)
-                put(packet, cached)
-                misses += 1
+                holes.append((position, group(packet, len(misses))))
             else:
                 touch(packet)
                 hits += 1
             append(cached)
-        self.header_hits += hits
-        self.header_misses += misses
+        if misses:
+            records = self._classify_misses(list(misses))
+            for position, index in holes:
+                results[position] = records[index]
+            header_cache.put_many(zip(misses, records))
+        # A repeat of a missed header within the batch counts as a hit, as
+        # it would had the miss been filled before the repeat arrived.
+        self.header_hits += hits + len(holes) - len(misses)
+        self.header_misses += len(misses)
         return BatchResult(tuple(results))
 
-    def _prefetch_fields(self, packets) -> None:
-        """Resolve the batch's unique uncached field values in one pass each.
-
-        The vectorized cold-path pre-pass: sweep the batch for headers the
-        header cache cannot answer, collect each dimension's unique values
-        that the field caches do not hold, and resolve them through the
-        :mod:`repro.fields.vectorized` batch walkers, so the per-packet walk
-        that follows only replays cached immutable results.
-        """
-        header_data = self._header_cache.data
-        field_caches = self._field_caches
-        seen_headers = set()
-        seen_add = seen_headers.add
-        lanes = [
-            (name, [], set(), field_caches[name].data) for name in DIMENSIONS
-        ]
-        for packet in packets:
-            if packet in header_data or packet in seen_headers:
-                continue
-            seen_add(packet)
-            values = packet_dimension_values(packet)
-            for name, missing, staged, cached in lanes:
-                value = values[name]
-                if value in staged or value in cached:
-                    continue
-                staged.add(value)
-                missing.append(value)
-        for name, missing, _, _ in lanes:
-            if not missing:
-                continue
-            cache = field_caches[name]
-            # Never resolve more values than the cache can hold: the excess
-            # would evict earlier entries within this very pre-pass, wasting
-            # the walker work and double-counting misses.  The overflow
-            # simply misses per-packet below, exactly like the plain mode.
-            missing = missing[: cache.limit]
-            for value, result in zip(missing, self._walkers[name].resolve(missing)):
-                cache.put(value, result)
-            self.field_misses += len(missing)
-
-    def _classify_uncached(self, packet: PacketHeader) -> Classification:
-        """Classify one header through the field, result and combiner caches."""
-        classifier = self.classifier
-        engines = classifier.engines
-        values = packet_dimension_values(packet)
-        field_results = {}
-        result_key = []
-        for name in DIMENSIONS:
-            cache = self._field_caches[name]
-            value = values[name]
-            # Inlined LRU hit path (see classify_batch).
-            data = cache.data
-            result = data.get(value)
-            if result is None:
-                result = engines[name].lookup(value)
-                cache.put(value, result)
-                self.field_misses += 1
+    def _classify_misses(self, headers: List[PacketHeader]) -> List[Classification]:
+        """Classify distinct header-layer misses through the lower layers."""
+        columns = packet_dimension_columns(headers)
+        keys = list(zip(*[self._field_id_column(name, columns[name]) for name in DIMENSIONS]))
+        result_data = self._result_cache.data
+        result_get = result_data.get
+        touch = result_data.move_to_end
+        assemble = self._assemble
+        records = []
+        append = records.append
+        hits = 0
+        for key in keys:
+            record = result_get(key)
+            if record is None:
+                record = assemble(key)
             else:
-                data.move_to_end(value)
-                self.field_hits += 1
-            field_results[name] = result
-            result_key.append(result)
-        # Result layer: the finished record is a pure function of the
-        # per-dimension field results, so headers sharing them (a different
-        # 5-tuple hitting the same values, or distinct values with identical
-        # walks) share one assembled Classification.
-        result_key = tuple(result_key)
-        record = self._result_cache.get(result_key)
-        if record is not None:
-            self.result_hits += 1
-            return record
-        self.result_misses += 1
+                touch(key)
+                hits += 1
+            append(record)
+        self.result_hits += hits
+        self.result_misses += len(keys) - hits
+        # A full intern table goes only now: the records above fetched their
+        # field results through it.
+        for name in DIMENSIONS:
+            if len(self._field_ids[name]) >= self._field_caches[name].limit:
+                self._drop_field_layer(name)
+        return records
+
+    def _field_id_column(self, name: str, column: List[int]) -> List[int]:
+        """Map one dimension's value column to interned field-result ids.
+
+        Each distinct value the field cache does not hold is resolved once,
+        all of them in one call: the batch walker in vectorized mode, the
+        engine's ``lookup`` otherwise.
+        """
+        cache = self._field_caches[name]
+        data = cache.data
+        cached_id = data.get
+        touch = data.move_to_end
+        ids = {}
+        missing = []
+        for value in dict.fromkeys(column):
+            field_id = cached_id(value)
+            if field_id is None:
+                missing.append(value)
+            else:
+                touch(value)
+                ids[value] = field_id
+        if missing:
+            if self.vectorized:
+                resolved = self._walkers[name].resolve(missing)
+            else:
+                lookup = self.classifier.engines[name].lookup
+                resolved = [lookup(value) for value in missing]
+            interned = self._field_ids[name]
+            by_id = self._field_results[name]
+            for value, result in zip(missing, resolved):
+                field_id = interned.get(result)
+                if field_id is None:
+                    field_id = interned[result] = self._next_field_id
+                    by_id[field_id] = result
+                    self._next_field_id += 1
+                ids[value] = field_id
+            cache.put_many((value, ids[value]) for value in missing)
+            self.field_misses += len(missing)
+        self.field_hits += len(column) - len(missing)
+        return list(map(ids.__getitem__, column))
+
+    def _assemble(self, result_key: Tuple[int, ...]) -> Classification:
+        """Finish a result-layer miss through the combiner cache."""
+        classifier = self.classifier
+        field_results = {
+            name: self._field_results[name][field_id]
+            for name, field_id in zip(DIMENSIONS, result_key)
+        }
         track = not self._deps_overflow
-        key = tuple(result.matches for result in result_key)
+        key = tuple(result.matches for result in field_results.values())
         cached = self._combiner_cache.get(key)
         if cached is None:
             probe_log: Optional[list] = [] if track else None
@@ -499,6 +536,7 @@ class FastPathAccelerator:
             "field_evictions": sum(
                 cache.evictions for cache in self._field_caches.values()
             ),
+            "field_results": sum(len(table) for table in self._field_ids.values()),
             "combiner_entries": len(self._combiner_cache),
             "combiner_hits": self.combiner_hits,
             "combiner_misses": self.combiner_misses,

@@ -71,6 +71,20 @@ class LRUCache:
             self.evictions += 1
         data[key] = value
 
+    def put_many(self, items) -> None:
+        """Bulk insert ``(key, value)`` pairs of absent keys, then evict LRU-first.
+
+        Ends in the state (and eviction count) of one :meth:`put` per pair,
+        with one hash per key instead of two.
+        """
+        data = self.data
+        data.update(items)
+        excess = len(data) - self.limit
+        if excess > 0:
+            for _ in range(excess):
+                data.popitem(last=False)
+            self.evictions += excess
+
     def __setitem__(self, key: Hashable, value: Any) -> None:
         self.put(key, value)
 

@@ -123,7 +123,9 @@ def build_mutation_schedule(
     ``("reconfigure", "mbt"|"bst")`` toggling ``IPalg_s`` — so the same
     schedule replays identically against any execution path *and* against
     the linear-search oracle.  The schedule never removes the last rule and
-    only inserts rules it held back, keeping every replay valid.
+    only inserts rules it held back, keeping every replay valid.  The first
+    boundary never reconfigures, so every schedule has a commit the fast
+    path can absorb scoped (while the datapath is still the initial MBT one).
     """
     rng = random.Random(seed)
     ordered = ruleset.rules()
@@ -133,7 +135,7 @@ def build_mutation_schedule(
     installed = [rule.rule_id for rule in initial]
     algorithm = "mbt"
     schedule: List[List[Tuple[str, object]]] = []
-    for _ in range(boundaries):
+    for boundary in range(boundaries):
         ops: List[Tuple[str, object]] = []
         for _ in range(rng.randint(1, 2)):
             roll = rng.random()
@@ -141,7 +143,7 @@ def build_mutation_schedule(
                 rule = pending.pop(0)
                 installed.append(rule.rule_id)
                 ops.append(("insert", rule))
-            elif roll < 0.85 and len(installed) > 1:
+            elif (roll < 0.85 or boundary == 0) and len(installed) > 1:
                 victim = installed.pop(rng.randrange(len(installed)))
                 ops.append(("remove", victim))
             else:

@@ -256,20 +256,24 @@ def flowcache_mutation_scenario(differential_scenario):
 def _replay_schedule(path: str, mutation_workload):
     """Replay the mutation schedule over one execution path, scoped as shipped.
 
-    Returns ``(observed, classifiers)`` where ``classifiers`` holds the
-    in-process classifier objects whose fast-path counters can be inspected
-    afterwards (empty for process pools, whose replicas live in forked
+    Returns ``(observed, accelerators)`` where ``accelerators`` holds every
+    in-process fast-path accelerator the replay used, whose counters can be
+    inspected afterwards (a reconfigure replaces the accelerator; empty for
+    the per-packet path and for process pools, whose replicas live in forked
     workers).
     """
     initial_set, chunks, schedule, _, _ = mutation_workload
     observed = []
-    classifiers = []
+    accelerators = []
     if path in ("per_packet", "fast", "vectorized"):
         options = {"fast": path == "fast", "vectorized": path == "vectorized"}
         classifier = create_classifier("configurable", initial_set, **options)
-        classifiers.append(classifier)
         for index, chunk in enumerate(chunks):
             observed.extend(classifier.classify_batch(chunk).results)
+            if classifier._fast_path is not None and not any(
+                used is classifier._fast_path for used in accelerators
+            ):
+                accelerators.append(classifier._fast_path)
             if index < len(schedule):
                 classifier.control.begin().extend(
                     _schedule_delta(schedule[index])
@@ -285,7 +289,7 @@ def _replay_schedule(path: str, mutation_workload):
                 observed.extend(session.feed(chunk).results)
                 if index < len(schedule):
                     session.apply(_schedule_delta(schedule[index]))
-    return observed, classifiers
+    return observed, accelerators
 
 
 @pytest.fixture(scope="module")
@@ -353,16 +357,16 @@ def test_mutation_scoped_invalidation_matches_wholesale_flush(
     The same schedule replayed with partial (blast-radius) invalidation and
     with every commit escalated to a wholesale flush must produce identical
     full records — and the scoped replay must have actually exercised the
-    scoped drop path rather than silently falling back to flushing.
+    scoped drop path rather than silently falling back to flushing.  A
+    reconfigure replaces the accelerator, so the scoped commits are summed
+    over every accelerator the replay used.
     """
     if path == "process-packed" and not shared_memory_available():
         pytest.skip("platform grants no shared memory segments")
-    observed, classifiers = scoped_replays(path)
+    observed, accelerators = scoped_replays(path)
     assert list(observed) == list(wholesale_mutation_reference)
-    for classifier in classifiers:
-        fast_path = classifier._fast_path
-        if fast_path is not None:
-            assert fast_path.cache_stats()["scoped_commits"] > 0
+    if accelerators:
+        assert sum(fast_path.cache_stats()["scoped_commits"] for fast_path in accelerators) > 0
 
 
 @pytest.mark.mutation

@@ -18,6 +18,7 @@ from diff_scenarios import DIFFERENTIAL_SEED
 from repro.api import ClassificationSession, SessionStats, create_classifier
 from repro.core.classifier import ConfigurableClassifier
 from repro.core.config import ClassifierConfig, CombinerMode, IpAlgorithm
+from repro.core.dimensions import DIMENSIONS, packet_dimension_values
 from repro.exceptions import ConfigurationError
 from repro.hardware.rule_filter import RuleFilterMemory
 from repro.perf import FastPathAccelerator, ParallelSession, ReplicaSpec
@@ -432,6 +433,49 @@ class TestAdversarialStream:
             assert list(fast.results) == [classifier.classify(packet) for packet in batch]
         assert outcomes == {0, 1}  # both scoped and overflowed commits happened
 
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_intern_tables_stay_within_field_limit(
+        self, small_acl_ruleset, adversarial_stream, vectorized
+    ):
+        """Intern tables stay bounded over 200 single-op commits; ids never repeat.
+
+        A table reaching the field-cache limit is dropped with its field
+        cache, and the ids issued after a drop are larger than every id
+        issued before it, so a result key naming a dropped id can only miss.
+        """
+        limit = 12
+        classifier = ConfigurableClassifier.from_ruleset(small_acl_ruleset)
+        accelerator = FastPathAccelerator(
+            classifier, vectorized=vectorized, **dict(self.LIMITS, field_cache_limit=limit)
+        )
+        classifier._fast_path = accelerator  # control-plane commits reach it
+        batches = [adversarial_stream[start:start + 8] for start in range(0, 1600, 8)]
+        victim = small_acl_ruleset.rules()[0]
+        issued = {name: -1 for name in DIMENSIONS}  # largest id seen so far
+        held = {name: set() for name in DIMENSIONS}
+        drops = 0
+        for index, batch in enumerate(batches):
+            txn = classifier.control.begin()
+            if index % 2:
+                txn.insert(victim)
+            else:
+                txn.remove(victim.rule_id)
+            txn.commit()
+            fast = accelerator.classify_batch(batch)
+            assert list(fast.results) == [classifier.classify(packet) for packet in batch]
+            stats = accelerator.cache_stats()
+            assert stats["field_hits"] + stats["field_misses"] == 7 * stats["header_misses"]
+            for name in DIMENSIONS:
+                ids = set(accelerator._field_ids[name].values())
+                assert len(ids) <= limit
+                assert all(field_id > issued[name] for field_id in ids - held[name])
+                drops += not ids >= held[name]
+                issued[name] = max(ids | {issued[name]})
+                held[name] = ids
+        assert len(batches) == 200
+        assert accelerator.cache_stats()["scoped_commits"] > 0
+        assert drops > 0  # the tables really reached the limit
+
     def test_unbounded_defaults_would_have_grown(self, small_acl_ruleset):
         """Sanity check: the stream really is adversarial (all values unique)."""
         stream = [_unique_flow(index) for index in range(200)]
@@ -480,6 +524,34 @@ class TestAcceleratorInternals:
         assert stats["field_hits"] > 0  # traces reuse field values constantly
         classifier.classify_batch(small_trace)
         assert classifier._fast_path.cache_stats()["header_hits"] >= len(small_trace)
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_field_counts_follow_header_misses(self, small_acl_ruleset, small_trace, vectorized):
+        """One field hit or miss per dimension per header miss, in both modes.
+
+        A header repeated within its batch is one miss and then a hit, and
+        ``field_results`` counts the distinct results the values resolved to.
+        """
+        classifier = create_classifier(
+            "configurable", small_acl_ruleset, fast=True, vectorized=vectorized
+        )
+        accelerator = classifier._fast_path
+        doubled = list(small_trace) + list(small_trace[:40])
+        classifier.classify_batch(doubled)
+        classifier.classify_batch(doubled)
+        stats = accelerator.cache_stats()
+        assert stats["header_misses"] == len(set(small_trace))
+        assert stats["header_hits"] == 2 * len(doubled) - len(set(small_trace))
+        assert stats["field_hits"] + stats["field_misses"] == 7 * stats["header_misses"]
+        values = {
+            name: {packet_dimension_values(packet)[name] for packet in small_trace}
+            for name in DIMENSIONS
+        }
+        assert stats["field_misses"] == sum(map(len, values.values()))
+        assert stats["field_results"] == sum(
+            len({classifier.engines[name].lookup(value) for value in distinct})
+            for name, distinct in values.items()
+        )
 
 
 class TestParallelSession:

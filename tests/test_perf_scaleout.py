@@ -28,12 +28,13 @@ from repro.rules.trace import generate_trace
 
 
 class PoisonedPacket(PacketHeader):
-    """A header whose field segmentation explodes inside the classifier.
+    """A header whose hashing explodes inside the classifier.
 
-    Module level so the pickle transport can carry it into a worker.
+    The fast path's header layer hashes every packet it probes.  Module
+    level so the pickle transport can carry it into a worker.
     """
 
-    def ip_segments(self):
+    def __hash__(self):
         raise RuntimeError("poisoned packet")
 
 
