@@ -27,7 +27,6 @@ from repro.core.dimensions import (
     PORT_DIMENSIONS,
     packet_dimension_values,
 )
-from repro.core.invalidation import snapshot_marks
 from repro.core.label_combiner import LabelCombiner
 from repro.core.result import (
     BatchResult,
@@ -88,7 +87,6 @@ class ConfigurableClassifier:
     # ------------------------------------------------------------------ build
     def _build(self) -> None:
         layout = self.config.label_layout
-        self._memory_memo = None  # holds no engine of a previous build
         self.engines: Dict[str, SingleFieldEngine] = {}
         for dimension in IP_DIMENSIONS:
             self.engines[dimension] = self._make_ip_engine(dimension)
@@ -457,21 +455,7 @@ class ConfigurableClassifier:
         )
 
     def memory_bits_used(self) -> Dict[str, int]:
-        """Occupied memory per component for the currently installed rules.
-
-        Memoized on the config object and the epoch marks
-        (:func:`~repro.core.invalidation.snapshot_marks`), which is exact:
-        every label-table value change moves an engine epoch, and every
-        installed-rule change moves the Rule Filter epoch.  Repeated reports
-        of an unchanged classifier (a session's ``stats()`` after every run)
-        walk the engines once.
-        """
-        key = (self.config, snapshot_marks(self))
-        if self._memory_memo is None or self._memory_memo[0] != key:
-            self._memory_memo = (key, self._measure_memory_bits())
-        return dict(self._memory_memo[1])
-
-    def _measure_memory_bits(self) -> Dict[str, int]:
+        """Occupied memory per component for the currently installed rules."""
         used = {name: engine.memory_bits() for name, engine in self.engines.items()}
         layout = self.config.label_layout
         label_bits = 0

@@ -23,7 +23,6 @@ __all__ = [
     "PORT_DIMENSIONS",
     "rule_dimension_specs",
     "packet_dimension_values",
-    "packet_dimension_columns",
     "dimension_label_width",
     "spec_interval",
 ]
@@ -57,24 +56,15 @@ def rule_dimension_specs(rule: Rule) -> Dict[str, Hashable]:
 
 def packet_dimension_values(packet: PacketHeader) -> Dict[str, int]:
     """Return the per-dimension lookup key of a packet header."""
-    segments = packet.ip_segments()
-    return {
-        "src_ip_hi": segments["src_ip_hi"],
-        "src_ip_lo": segments["src_ip_lo"],
-        "dst_ip_hi": segments["dst_ip_hi"],
-        "dst_ip_lo": segments["dst_ip_lo"],
-        "src_port": packet.src_port,
-        "dst_port": packet.dst_port,
-        "protocol": packet.protocol,
-    }
+    return {name: column[0] for name, column in packet_dimension_columns((packet,)).items()}
 
 
 def packet_dimension_columns(packets: Sequence[PacketHeader]) -> Dict[str, List[int]]:
     """Return the per-dimension lookup keys of many headers, one column each.
 
-    Column ``name`` holds ``packet_dimension_values(packet)[name]`` for every
-    packet, in input order; the columns are read straight from the header
-    fields, one pass per field.
+    Column ``name`` holds dimension ``name``'s key of every packet, in input
+    order, read straight from the header fields one pass per field: the high
+    and low 16-bit segments of each IP address, then the ports and protocol.
     """
     src = [packet.src_ip for packet in packets]
     dst = [packet.dst_ip for packet in packets]

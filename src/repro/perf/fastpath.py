@@ -34,9 +34,10 @@ Every layer is a bounded :class:`~repro.perf.lru.LRUCache`: an adversarial
 stream of never-repeating flows evicts instead of growing without bound, and
 the eviction counts are reported by :meth:`FastPathAccelerator.cache_stats`.
 A dimension's intern table is dropped together with its field cache (on an
-epoch move, on :meth:`~FastPathAccelerator.invalidate` and whenever a batch
-leaves it at the field-cache limit); ids are never reused, so a result key
-naming a dropped id can only miss.
+epoch move and on :meth:`~FastPathAccelerator.invalidate`); a batch that
+leaves it at the field-cache limit prunes the results no cached value names
+and keeps the live ones.  Ids are never reused, so a result key naming a
+dropped id can only miss.
 
 **One columnar pass per batch**, in both modes: probe the header layer once
 per packet and group the distinct misses; read the misses' seven dimension
@@ -410,11 +411,18 @@ class FastPathAccelerator:
             append(record)
         self.result_hits += hits
         self.result_misses += len(keys) - hits
-        # A full intern table goes only now: the records above fetched their
-        # field results through it.
+        # A full intern table is pruned only now: the records above fetched
+        # their field results through it.  Results outlive their values (a
+        # commit discards the values in its spans, the LRU evicts) so that a
+        # value re-resolving to an equal result gets its old id back and its
+        # result-cache entries still hit.  At the limit the results no cached
+        # value names go; the live ones keep their ids.
         for name in DIMENSIONS:
-            if len(self._field_ids[name]) >= self._field_caches[name].limit:
-                self._drop_field_layer(name)
+            by_id = self._field_results[name]
+            if len(by_id) >= self._field_caches[name].limit:
+                interned = self._field_ids[name]
+                for field_id in by_id.keys() - set(self._field_caches[name].data.values()):
+                    del interned[by_id.pop(field_id)]
         return records
 
     def _field_id_column(self, name: str, column: List[int]) -> List[int]:

@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.core.classifier import ConfigurableClassifier, DISPATCH_CYCLES, FINAL_CYCLES, LABEL_FETCH_CYCLES
 from repro.core.config import ClassifierConfig, CombinerMode, IpAlgorithm
 from repro.core.dimensions import DIMENSIONS
-from repro.exceptions import UpdateError
-from repro.rules.ruleset import RuleSet
 
 
 class TestClassifierConstruction:
@@ -166,53 +162,6 @@ class TestReporting:
         empty = ConfigurableClassifier()
         loaded = ConfigurableClassifier.from_ruleset(handcrafted_ruleset)
         assert loaded.memory_bits_used()["rule_filter"] > empty.memory_bits_used()["rule_filter"]
-
-    def test_memory_memo_tracks_every_mutation(self, small_acl_ruleset):
-        """The memoized breakdown equals a fresh walk after every kind of mutation."""
-        rules = small_acl_ruleset.rules()
-        classifier = ConfigurableClassifier.from_ruleset(RuleSet(rules[:-2], name="head"))
-        control = classifier.control
-        used = classifier.memory_bits_used()
-
-        def settle(changed: bool) -> None:
-            nonlocal used
-            fresh = classifier._measure_memory_bits()
-            assert classifier.memory_bits_used() == fresh
-            assert (fresh != used) is changed
-            used = fresh
-
-        control.begin().insert(rules[-1]).commit()
-        settle(changed=True)
-        control.begin().remove(rules[0].rule_id).commit()
-        settle(changed=True)
-        with pytest.raises(UpdateError):
-            control.begin().remove(rules[1].rule_id).remove(rules[1].rule_id).commit()
-        settle(changed=False)
-        # A copy of an installed rule at the lowest priority adds no field
-        # value: only the Rule Filter epoch moves.
-        epochs = [engine.mutation_epoch for engine in classifier.engines.values()]
-        lowest = max(rule.priority for rule in rules) + 1
-        control.begin().insert(dataclasses.replace(rules[2], rule_id=10_000, priority=lowest)).commit()
-        assert [engine.mutation_epoch for engine in classifier.engines.values()] == epochs
-        settle(changed=True)
-        control.begin().reconfigure(ip_algorithm="bst").commit()
-        settle(changed=True)
-        classifier.install_rule(rules[-2])  # out of band
-        settle(changed=True)
-
-    def test_memory_memo_walks_engines_once(self, small_acl_ruleset, monkeypatch):
-        classifier = ConfigurableClassifier.from_ruleset(small_acl_ruleset)
-        walked = []
-        for name, engine in classifier.engines.items():
-            measure = engine.memory_bits
-            monkeypatch.setattr(
-                engine, "memory_bits", lambda name=name, measure=measure: walked.append(name) or measure()
-            )
-        first = classifier.stats()
-        for _ in range(3):
-            assert classifier.stats() == first
-            assert classifier.memory_bits() == first.memory_bits
-        assert sorted(walked) == sorted(DIMENSIONS)
 
     def test_provisioned_memory_bank_contents(self):
         bank = ConfigurableClassifier().provisioned_memory_bank()

@@ -439,21 +439,23 @@ class TestAdversarialStream:
     ):
         """Intern tables stay bounded over 200 single-op commits; ids never repeat.
 
-        A table reaching the field-cache limit is dropped with its field
-        cache, and the ids issued after a drop are larger than every id
-        issued before it, so a result key naming a dropped id can only miss.
+        A table reaching the field-cache limit is pruned to the results its
+        cached values name, so the live entries survive; the ids issued
+        after a prune or a drop are larger than every id issued before, so a
+        result key naming a forgotten id can only miss.
         """
         limit = 12
         classifier = ConfigurableClassifier.from_ruleset(small_acl_ruleset)
-        accelerator = FastPathAccelerator(
-            classifier, vectorized=vectorized, **dict(self.LIMITS, field_cache_limit=limit)
-        )
+        # A header bound whose dependency budget the run never exhausts, so
+        # the commits stay scoped and the tables persist across batches.
+        limits = dict(self.LIMITS, field_cache_limit=limit, header_cache_limit=8192)
+        accelerator = FastPathAccelerator(classifier, vectorized=vectorized, **limits)
         classifier._fast_path = accelerator  # control-plane commits reach it
         batches = [adversarial_stream[start:start + 8] for start in range(0, 1600, 8)]
         victim = small_acl_ruleset.rules()[0]
         issued = {name: -1 for name in DIMENSIONS}  # largest id seen so far
         held = {name: set() for name in DIMENSIONS}
-        drops = 0
+        prunes = 0
         for index, batch in enumerate(batches):
             txn = classifier.control.begin()
             if index % 2:
@@ -461,20 +463,27 @@ class TestAdversarialStream:
             else:
                 txn.remove(victim.rule_id)
             txn.commit()
+            flushes = accelerator.epoch_flushes
             fast = accelerator.classify_batch(batch)
             assert list(fast.results) == [classifier.classify(packet) for packet in batch]
             stats = accelerator.cache_stats()
             assert stats["field_hits"] + stats["field_misses"] == 7 * stats["header_misses"]
             for name in DIMENSIONS:
                 ids = set(accelerator._field_ids[name].values())
+                assert set(accelerator._field_results[name]) == ids
                 assert len(ids) <= limit
+                cache = accelerator._field_caches[name].data
+                assert set(cache.values()) <= ids
+                # The batch's own values stay cached: a prune is no miss storm.
+                assert {packet_dimension_values(packet)[name] for packet in batch} <= set(cache)
                 assert all(field_id > issued[name] for field_id in ids - held[name])
-                drops += not ids >= held[name]
+                # Without an epoch flush, only a limit prune forgets an id.
+                prunes += accelerator.epoch_flushes == flushes and not ids >= held[name]
                 issued[name] = max(ids | {issued[name]})
                 held[name] = ids
         assert len(batches) == 200
-        assert accelerator.cache_stats()["scoped_commits"] > 0
-        assert drops > 0  # the tables really reached the limit
+        assert accelerator.cache_stats()["scoped_commits"] > 150
+        assert prunes > 0  # the tables really reached the limit
 
     def test_unbounded_defaults_would_have_grown(self, small_acl_ruleset):
         """Sanity check: the stream really is adversarial (all values unique)."""
