@@ -79,7 +79,7 @@ from repro.rules import (
     load_classbench_file,
 )
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "__version__",

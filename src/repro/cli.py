@@ -318,6 +318,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                     session.apply(_churn_delta(ruleset, index))
                     updates_applied += 1
             details = session.replica_details()
+            flow = session.flow_cache_stats()
             transport = session.transport
     else:
         classifier = _build_classifier(args.classifier, ruleset, args)
@@ -328,6 +329,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 classifier.control.begin().extend(_churn_delta(ruleset, index)).commit()
                 updates_applied += 1
         details = classifier.stats().details
+        flow_cache = getattr(classifier, "flow_cache", None)
+        flow = flow_cache.stats() if flow_cache is not None else None
     report = {
         "Rule set": f"{ruleset.name} ({len(ruleset)} rules)",
         "Classifier": stats.classifier,
@@ -349,10 +352,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             f"{args.flows} flows, {args.flow_popularity} popularity, "
             f"churn {args.flow_churn_rate:g}"
         )
-    if stats.flow_lookups:
-        report["Flow cache hit rate"] = f"{stats.flow_hit_rate:.3f}"
-        if stats.flow_evictions:
-            report["Flow cache evictions"] = stats.flow_evictions
+    if flow and flow["lookups"]:
+        report["Flow cache hit rate"] = f"{flow['hit_rate']:.3f}"
+        if flow["evictions"]:
+            report["Flow cache evictions"] = flow["evictions"]
     if stats.average_latency_cycles is not None:
         report["Avg latency (cycles)"] = f"{stats.average_latency_cycles:.1f}"
     if stats.truncated_lookups:

@@ -32,10 +32,9 @@ of the ROADMAP made concrete:
 * :meth:`FabricController.serve` — drives an ingress-tagged trace
   (:func:`~repro.rules.trace.generate_fabric_trace`) through the fabric:
   one ``classify_batch`` call per switch, per-hop lookups combined into one
-  fabric classification per packet, per-switch hit accounting and merged
-  fabric-wide statistics.  Statistics commit only after every switch
-  finished its share — a poisoned switch cancels the whole serve with no
-  partial stats.
+  fabric classification per packet, and per-switch hit accounting.
+  Statistics commit only after every switch finished its share — a poisoned
+  switch cancels the whole serve with no partial stats.
 """
 
 from __future__ import annotations
@@ -46,13 +45,11 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from repro.analysis.depindex import DependencyIndex
 from repro.api.control import CommitResult, ControlPlane, Delta, RuleProgram, TxnOp
-from repro.api.session import RunningCounters, SessionStats, measure_results
 from repro.controller.controller import SdnController
 from repro.controller.switch import Switch
 from repro.core.config import ClassifierConfig
 from repro.core.result import Classification
 from repro.exceptions import ControlPlaneError, UpdateError
-from repro.perf.parallel import merge_flow_cache_stats
 from repro.perf.transport import pack_header
 from repro.rules.packet import PacketHeader
 from repro.rules.rule import Rule
@@ -460,7 +457,14 @@ class SwitchServeStats(object):
 
 @dataclass(frozen=True)
 class FabricServeResult(object):
-    """Outcome of serving one ingress-tagged trace through the fabric."""
+    """Outcome of serving one ingress-tagged trace through the fabric.
+
+    It carries what the serve itself counted: the records, the fabric-wide
+    and per-switch hit counts and the hop lookups.  Other statistics are
+    read from the object that owns them: a switch's footprint from its
+    classifier's ``memory_bits()``, its flow-cache counters from its
+    ``flow_cache.stats()``.
+    """
 
     #: Fabric-wide classification per packet, in input order.
     results: Tuple[Classification, ...]
@@ -469,11 +473,6 @@ class FabricServeResult(object):
     #: Total per-switch lookups (every packet is looked up once per hop).
     hop_lookups: int
     per_switch: Dict[int, SwitchServeStats]
-    #: Merged :class:`~repro.api.session.SessionStats` across the per-switch
-    #: sessions.
-    session: SessionStats
-    #: Merged flow-cache stats across switches (None when no caches attached).
-    flow: Optional[Dict[str, object]] = None
 
     @property
     def hit_ratio(self) -> float:
@@ -675,9 +674,9 @@ class FabricController(ControlPlane):
         per-hop records combine into one fabric classification per packet:
         the highest-priority match along the path (exact, because placement
         keeps overlap components whole), or the ingress switch's miss
-        record.  Per-switch and fabric-wide statistics update only after
-        **every** switch finished — a failing switch aborts the serve with
-        all counters untouched.
+        record.  Per-switch counters update only after **every** switch
+        finished — a failing switch aborts the serve with all counters
+        untouched.
 
         ``packets`` may mix ingress-tagged
         :class:`~repro.rules.trace.FabricPacket` items with plain headers or
@@ -695,22 +694,10 @@ class FabricController(ControlPlane):
                 workloads.setdefault(dpid, []).append((index, packet))
 
         per_switch_results: Dict[int, Tuple[Classification, ...]] = {}
-        session_parts: List[SessionStats] = []
-        flow_parts: List[Optional[Dict[str, object]]] = []
         for dpid in sorted(workloads):
             classifier = self.controller.switch(dpid).classifier
-            batch = classifier.classify_batch(
-                [packet.header for _, packet in workloads[dpid]]
-            )
-            per_switch_results[dpid] = batch.results
-            counters = RunningCounters()
-            counters.absorb(measure_results(batch.results))
-            flow_cache = classifier.flow_cache
-            flow = flow_cache.stats() if flow_cache is not None else None
-            session_parts.append(
-                counters.to_stats(classifier.name, classifier.memory_bits(), flow=flow)
-            )
-            flow_parts.append(flow)
+            headers = [packet.header for _, packet in workloads[dpid]]
+            per_switch_results[dpid] = classifier.classify_batch(headers).results
 
         combined: List[Optional[Classification]] = [None] * len(packets)
         ingress_records: List[Optional[Classification]] = [None] * len(packets)
@@ -751,8 +738,6 @@ class FabricController(ControlPlane):
             matched=matched,
             hop_lookups=sum(len(entries) for entries in workloads.values()),
             per_switch=per_switch,
-            session=SessionStats.merge(session_parts),
-            flow=merge_flow_cache_stats(flow_parts),
         )
 
     def __repr__(self) -> str:

@@ -28,13 +28,16 @@ allows" goal.  This package closes the gap from two directions:
   epochs the fast path watches.
 * :class:`~repro.perf.parallel.ParallelSession` — shards a trace in bounded
   round-robin chunks across N worker processes, each holding one replica
-  built from a picklable :class:`~repro.perf.parallel.ReplicaSpec`, and
-  merges the per-replica statistics into one
-  :class:`~repro.api.session.SessionStats`.  Chunks reach the workers over
-  the zero-copy packed transport of :mod:`repro.perf.transport` (fixed-width
-  104-bit header words in a shared-memory ring; ``transport="packed"``) when
-  the platform grants shared memory, falling back to pickled object chunks
-  otherwise.  The pool is itself a :class:`~repro.api.control.ControlPlane`:
+  built from a picklable :class:`~repro.perf.parallel.ReplicaSpec`.  Each
+  chunk's :class:`~repro.api.session.RunningCounters` merge into one
+  committed fold, rendered as one :class:`~repro.api.session.SessionStats`
+  whose ``memory_bits`` sums a fresh reading per worker; the replicas'
+  flow-cache counters sum in
+  :meth:`~repro.perf.parallel.ParallelSession.flow_cache_stats`.  Chunks
+  reach the workers over the zero-copy packed transport of
+  :mod:`repro.perf.transport` (fixed-width 104-bit header words in a
+  shared-memory ring; ``transport="packed"``) when the platform grants
+  shared memory, falling back to pickled object chunks otherwise.  The pool is itself a :class:`~repro.api.control.ControlPlane`:
   committed transactions broadcast to every replica between chunks,
   all-or-nothing session-wide (see
   :meth:`~repro.perf.parallel.ParallelSession.apply`).
@@ -48,7 +51,7 @@ from repro.perf.flowcache import (
     RecencyPredictor,
 )
 from repro.perf.lru import BoundedCache, LRUCache
-from repro.perf.parallel import ParallelSession, ReplicaSpec, merge_flow_cache_stats
+from repro.perf.parallel import ParallelSession, ReplicaSpec
 from repro.perf.transport import (
     ChunkDescriptor,
     PackedChunk,
@@ -68,7 +71,6 @@ __all__ = [
     "RecencyPredictor",
     "ParallelSession",
     "ReplicaSpec",
-    "merge_flow_cache_stats",
     "LRUCache",
     "BoundedCache",
     "SharedChunkRing",

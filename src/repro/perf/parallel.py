@@ -6,7 +6,7 @@ running several classifier *replicas* side by side behind a load balancer.
 :class:`ParallelSession` models exactly that: a pool of N worker processes,
 each holding one replica with the full rule set and built there from a
 **picklable** factory (see :class:`ReplicaSpec`), bounded chunks of the input
-trace dispatched round-robin across them, and one merged
+trace dispatched round-robin across them, and one
 :class:`~repro.api.session.SessionStats` over the whole deployment.
 
 Chunks reach the workers over one of two **transports**:
@@ -23,7 +23,8 @@ Chunks reach the workers over one of two **transports**:
   otherwise.  The resolved choice is exposed as
   :attr:`ParallelSession.transport`.
 
-Compact per-chunk counters come back pickled on both transports; for
+Each chunk's :class:`~repro.api.session.RunningCounters` come back pickled
+on both transports; for
 :meth:`ParallelSession.feed` the classifications return in the compact
 palette-plus-indices wire form (no ``detail`` record, one entry per distinct
 classification) and rehydrate through a parent-side interning memo.
@@ -62,8 +63,13 @@ executor's ``BrokenExecutor``), a broadcast in progress leaves the pool's
 version where it was and is never served, and every later call raises the
 closed-session error.
 
-Merged statistics are exact — counts sum, averages are packet-weighted,
-worst cases take the maximum across replicas — and
+Statistics are exact: the pool merges every chunk's counters into one
+committed :class:`~repro.api.session.RunningCounters`, so its streamed
+fields equal one :class:`~repro.api.session.ClassificationSession` over the
+same trace and chunk size.  ``memory_bits`` is not streamed: each
+:meth:`ParallelSession.stats` call sums one fresh reading per worker, so it
+follows commits.  Flow-cache counters stay with the replicas' caches and
+are summed by :meth:`ParallelSession.flow_cache_stats`.
 :meth:`ParallelSession.feed` returns classifications in input order that are
 bit-identical to a single replica classifying the whole trace.
 """
@@ -86,19 +92,12 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
 )
 
 from repro.api.control import CommitResult, ControlPlane, Delta, RuleProgram, Txn, TxnOp
 from repro.api.registry import create_classifier
-from repro.api.session import (
-    BatchCounters,
-    RunningCounters,
-    SessionStats,
-    iter_chunks,
-    measure_results,
-)
+from repro.api.session import RunningCounters, SessionStats, iter_chunks
 from repro.core.result import BatchResult, Classification
 from repro.exceptions import ConfigurationError, UpdateError, WorkerError
 from repro.perf.lru import BoundedCache
@@ -112,36 +111,7 @@ from repro.perf.transport import (
 from repro.rules.packet import PacketHeader
 from repro.rules.ruleset import RuleSet
 
-__all__ = ["ParallelSession", "ReplicaSpec", "merge_flow_cache_stats"]
-
-
-def merge_flow_cache_stats(
-    parts: Sequence[Optional[Dict[str, object]]],
-) -> Optional[Dict[str, object]]:
-    """Merge per-replica (or per-switch) flow-cache stat dicts into one.
-
-    Counters sum, ``hit_rate`` is re-derived from the summed counters,
-    configuration fields come from the first part (pools are homogeneous),
-    and ``replicas`` sums the parts' own replica counts (a raw per-worker or
-    per-switch dict counts as one) — so merging already-merged dicts nests
-    correctly.  Returns ``None`` for an empty sequence.
-    """
-    parts = [part for part in parts if part is not None]
-    if not parts:
-        return None
-    merged = dict(parts[0])
-    summed = (
-        "entries", "lookups", "hits", "misses", "insertions",
-        "timeout_evictions", "capacity_evictions", "evictions",
-        "surgical_drops", "invalidations",
-    )
-    for key in summed:
-        merged[key] = sum(part[key] for part in parts)
-    merged["hit_rate"] = (
-        merged["hits"] / merged["lookups"] if merged["lookups"] else 0.0
-    )
-    merged["replicas"] = sum(part.get("replicas", 1) for part in parts)
-    return merged
+__all__ = ["ParallelSession", "ReplicaSpec"]
 
 #: Bound of the parent-side Classification interning memo used to rehydrate
 #: compact feed() results (see :class:`_CompactChunk`).
@@ -175,7 +145,7 @@ class ReplicaSpec:
 class _ChunkOutcome(NamedTuple):
     """Compact, picklable outcome of one classified chunk."""
 
-    counters: BatchCounters
+    counters: RunningCounters
     results: Optional["_CompactChunk"]  # None unless the caller retains results
 
 
@@ -220,16 +190,17 @@ def _compact_results(results: Tuple[Classification, ...]) -> _CompactChunk:
 
 
 def _measure_chunk(batch: BatchResult, retain: bool) -> _ChunkOutcome:
-    """Fold one chunk's batch through the shared session accounting."""
+    """Fold one chunk's batch through the session statistics fold."""
+    counters = RunningCounters()
+    counters.add(batch.results)
     results = _compact_results(batch.results) if retain else None
-    return _ChunkOutcome(counters=measure_results(batch.results), results=results)
+    return _ChunkOutcome(counters=counters, results=results)
 
 
 class _Inflight(NamedTuple):
     """One dispatched chunk awaiting absorption."""
 
     future: object
-    worker_index: int
     chunk_index: int
     #: Ring slot carrying the packed chunk, or None on the pickle transport.
     slot: Optional[int]
@@ -346,99 +317,38 @@ class _ProcessWorker:
     def __init__(self, factory) -> None:
         self.factory = factory
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._info: Optional[Tuple[str, int]] = None
-        self._info_future = None
-        #: True once any task was submitted — the worker process is warm and
-        #: its replica built, so an info round-trip at shutdown is cheap.
-        self._used = False
 
-    def start(self) -> None:
+    @property
+    def started(self) -> bool:
+        """True once a task was submitted: the process runs its replica."""
+        return self._executor is not None
+
+    def call(self, function, *args):
+        """Submit ``function(*args)`` to the worker, starting it on first use.
+
+        Tasks run one at a time in submission order on the worker's single
+        lane, so a delta lands after the chunks already queued and before
+        anything submitted later.
+        """
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=1,
                 initializer=_process_worker_initialize,
                 initargs=(self.factory,),
             )
-
-    def prefetch_info(self) -> None:
-        """Kick off worker bring-up + info without blocking.
-
-        Submitting the info task forces the process to spawn and build its
-        replica; prefetching on every worker before collecting any result is
-        what makes pool bring-up run in parallel instead of one replica
-        build after another.
-        """
-        if self._info is None and self._info_future is None:
-            self.start()
-            self._used = True
-            self._info_future = self._executor.submit(_process_worker_info)
-
-    def info(self) -> Tuple[str, int]:
-        if self._info is None:
-            self.prefetch_info()
-            self._info = self._info_future.result()
-            self._info_future = None
-        return self._info
-
-    def cached_info(self) -> Optional[Tuple[str, int]]:
-        return self._info
-
-    def details(self) -> Dict[str, object]:
-        self.start()
-        self._used = True
-        return self._executor.submit(_process_worker_details).result()
-
-    def submit(self, chunk, retain):
-        self._used = True
-        return self._executor.submit(_process_worker_classify, chunk, retain)
-
-    def submit_packed(self, descriptor, retain):
-        self._used = True
-        return self._executor.submit(
-            _process_worker_classify_packed,
-            descriptor.segment,
-            descriptor.offset,
-            descriptor.count,
-            retain,
-        )
+        return self._executor.submit(function, *args)
 
     def submit_delta(self, delta: Delta):
-        """Ship a control-plane delta to the worker process.
-
-        The delta message travels over the executor's task channel alongside
-        the chunk descriptors; the worker's single lane applies it after the
-        chunks already queued and before anything submitted later.
-        """
-        self._used = True
-        return self._executor.submit(_process_worker_apply_delta, delta)
+        """Ship a control-plane delta to the worker process."""
+        return self.call(_process_worker_apply_delta, delta)
 
     def program(self) -> RuleProgram:
-        self.start()
-        self._used = True
-        return self._executor.submit(_process_worker_program).result()
-
-    def flow_stats(self) -> Optional[Dict[str, object]]:
-        self.start()
-        self._used = True
-        return self._executor.submit(_process_worker_flow_stats).result()
+        return self.call(_process_worker_program).result()
 
     def shutdown(self) -> None:
         if self._executor is not None:
-            if self._info is None and self._used:
-                # Harvest the replica info while the worker still exists, so
-                # committed statistics stay readable after close() even when
-                # only feed() ran (it never calls info()).  A broken or
-                # poisoned worker simply leaves the info unknown.
-                try:
-                    future = self._info_future or self._executor.submit(
-                        _process_worker_info
-                    )
-                    self._info = future.result(timeout=30)
-                except Exception:
-                    pass
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-            self._info_future = None
 
 
 class _SessionControl(ControlPlane):
@@ -563,7 +473,9 @@ class ParallelSession:
         self._result_memo = BoundedCache(RESULT_MEMO_LIMIT)
         self._control: Optional[_SessionControl] = None
         self._workers = [_ProcessWorker(factory) for _ in range(workers)]
-        self._committed = [RunningCounters() for _ in self._workers]
+        self._committed = RunningCounters()
+        #: Last ``(name, memory_bits)`` reading of the pool (see stats()).
+        self._footprint: Optional[Tuple[str, int]] = None
 
     @classmethod
     def from_factory(
@@ -664,8 +576,7 @@ class ParallelSession:
         ring: Optional[SharedChunkRing],
     ) -> _Inflight:
         """Submit one chunk round-robin over the configured transport."""
-        worker_index = chunk_index % len(self._workers)
-        worker = self._workers[worker_index]
+        worker = self._workers[chunk_index % len(self._workers)]
         slot = None
         # The dispatch lock orders this submission against any concurrent
         # control-plane broadcast (see apply()): a delta either precedes or
@@ -677,17 +588,22 @@ class ParallelSession:
                     raise ConfigurationError(
                         "shared-memory ring exhausted; in-flight window exceeded slot count"
                     )
-                future = worker.submit_packed(ring.write(slot, chunk), retain)
+                descriptor = ring.write(slot, chunk)
+                future = worker.call(
+                    _process_worker_classify_packed,
+                    descriptor.segment,
+                    descriptor.offset,
+                    descriptor.count,
+                    retain,
+                )
             else:
-                future = worker.submit(chunk, retain)
-        return _Inflight(future, worker_index, chunk_index, slot)
+                future = worker.call(_process_worker_classify, chunk, retain)
+        return _Inflight(future, chunk_index, slot)
 
     @_closes_on_broken_worker
     def _execute(self, packets, retain: bool):
         self._check_open()
-        for worker in self._workers:
-            worker.start()
-        pending = [RunningCounters() for _ in self._workers]
+        pending = RunningCounters()
         retained: Optional[Dict[int, Tuple[Classification, ...]]] = {} if retain else None
         inflight: deque = deque()
         max_inflight = len(self._workers) * PIPELINE_DEPTH
@@ -705,8 +621,7 @@ class ParallelSession:
             self._abort(inflight)
             raise
         # Only a fully successful run commits into the session counters.
-        for committed, fresh in zip(self._committed, pending):
-            committed.merge(fresh)
+        self._committed.merge(pending)
         if retained is None:
             return None
         ordered: List[Classification] = []
@@ -737,7 +652,7 @@ class ParallelSession:
         finally:
             if entry.slot is not None and not ring.closed:
                 ring.release(entry.slot)
-        pending[entry.worker_index].absorb(outcome.counters)
+        pending.merge(outcome.counters)
         if retained is not None:
             retained[entry.chunk_index] = self._rehydrate(outcome.results)
 
@@ -811,7 +726,6 @@ class ParallelSession:
         # Only replica 0 answers a program snapshot; no need to cold-start
         # the whole pool (a broadcast starts every worker itself).
         self._check_open()
-        self._workers[0].start()
         return self._workers[0].program()
 
     @_closes_on_broken_worker
@@ -834,8 +748,6 @@ class ParallelSession:
         :class:`~repro.api.control.ClassifierControl`).
         """
         self._check_open()  # a pre-close Txn must not resurrect worker pools
-        for worker in self._workers:
-            worker.start()
         with self._dispatch_lock:
             futures = [worker.submit_delta(delta) for worker in self._workers]
             commits: List[Tuple[int, CommitResult]] = []
@@ -875,53 +787,73 @@ class ParallelSession:
         ) from error
 
     def reset(self) -> None:
-        """Zero every replica's committed aggregate counters."""
-        for counters in self._committed:
-            counters.reset()
+        """Zero the committed aggregate counters."""
+        self._committed.reset()
 
     # -- aggregation ---------------------------------------------------------
+    def _read_footprint(self) -> Tuple[str, int]:
+        """One fresh ``(name, memory_bits)`` reading of the whole pool.
+
+        Submits to every worker before collecting any, so a cold pool brings
+        its replicas up in parallel.  The name is the replica's, suffixed
+        ``x<N>`` for N > 1 workers; the footprint sums the replicas', since a
+        multi-pipeline deployment replicates the search structures.
+        """
+        futures = [worker.call(_process_worker_info) for worker in self._workers]
+        readings = [future.result() for future in futures]
+        name = readings[0][0]
+        if len(readings) > 1:
+            name = f"{name}x{len(readings)}"
+        return name, sum(bits for _, bits in readings)
+
     @_closes_on_broken_worker
     def stats(self) -> SessionStats:
-        """Merged statistics over everything successfully run through the pool.
+        """Statistics over everything successfully run through the pool.
 
-        This may start the workers (the replica name and memory footprint
-        are reported by the workers; bring-up runs in parallel across
-        workers).  On a closed session the cached replica info is used
-        instead — stats of a closed session that never ran are unavailable.
+        The streamed counters are the pool's one committed fold, so they
+        equal one :class:`~repro.api.session.ClassificationSession` over the
+        same trace and chunk size.  ``memory_bits`` is read fresh from every
+        worker on each call (starting any idle one), so it follows commits.
+        A closed session reports the reading taken last; stats of a closed
+        session that never reported one are unavailable.
         """
-        if self._closed:
-            parts = []
-            for worker, counters in zip(self._workers, self._committed):
-                info = worker.cached_info()
-                if info is None:
-                    raise ConfigurationError(
-                        "parallel session is closed and never reported replica "
-                        "info; create a new session"
-                    )
-                parts.append(counters.to_stats(*info))
-            return SessionStats.merge(parts)
-        for worker in self._workers:
-            worker.prefetch_info()
-        parts = []
-        for worker, counters in zip(self._workers, self._committed):
-            name, memory_bits = worker.info()
-            parts.append(counters.to_stats(name, memory_bits, flow=worker.flow_stats()))
-        return SessionStats.merge(parts)
+        if not self._closed:
+            self._footprint = self._read_footprint()
+        elif self._footprint is None:
+            raise ConfigurationError(
+                "parallel session is closed and never reported replica "
+                "info; create a new session"
+            )
+        return self._committed.to_stats(*self._footprint)
 
     @_closes_on_broken_worker
     def flow_cache_stats(self) -> Optional[Dict[str, object]]:
-        """Merged flow-cache statistics across every replica.
+        """Flow-cache statistics summed across every replica.
 
         Counters (lookups / hits / misses / insertions / evictions /
         surgical drops / invalidations) and resident entries sum over the
         replicas; configuration fields (policy, per-replica capacity,
         timeouts, predictor) come from replica 0, since every worker builds
-        its replica from the same factory.  The merged ``hit_rate`` is
-        re-derived from the summed counters.  Returns ``None`` when the
-        replicas carry no flow cache.
+        its replica from the same factory.  ``hit_rate`` is re-derived from
+        the summed counters and ``replicas`` counts the workers.  Returns
+        ``None`` when the replicas carry no flow cache.
         """
         self._check_open()
-        return merge_flow_cache_stats([worker.flow_stats() for worker in self._workers])
+        futures = [worker.call(_process_worker_flow_stats) for worker in self._workers]
+        parts = [part for part in (future.result() for future in futures) if part is not None]
+        if not parts:
+            return None
+        merged = dict(parts[0])
+        summed = (
+            "entries", "lookups", "hits", "misses", "insertions",
+            "timeout_evictions", "capacity_evictions", "evictions",
+            "surgical_drops", "invalidations",
+        )
+        for key in summed:
+            merged[key] = sum(part[key] for part in parts)
+        merged["hit_rate"] = merged["hits"] / merged["lookups"] if merged["lookups"] else 0.0
+        merged["replicas"] = len(parts)
+        return merged
 
     @_closes_on_broken_worker
     def replica_details(self) -> Dict[str, object]:
@@ -932,7 +864,7 @@ class ParallelSession:
         if needed).
         """
         self._check_open()
-        return self._workers[0].details()
+        return self._workers[0].call(_process_worker_details).result()
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
@@ -941,10 +873,18 @@ class ParallelSession:
         Idempotent and terminal: processes exit, the packed transport's
         segment is unlinked (nothing lingers in ``/dev/shm``), and any later
         :meth:`run`/:meth:`feed` raises
-        :class:`~repro.exceptions.ConfigurationError`.  Committed statistics
-        stay readable via :meth:`stats` where the replica info is already
-        known.
+        :class:`~repro.exceptions.ConfigurationError`.  When every worker is
+        running, one last footprint reading is taken first, so committed
+        statistics stay readable via :meth:`stats` (a dead worker leaves the
+        previous reading).
         """
+        if not self._closed and all(worker.started for worker in self._workers):
+            try:
+                self._footprint = self._read_footprint()
+            except Exception:
+                # The workers must be released whatever the reading meets (a
+                # dead worker, interpreter shutdown): keep the last reading.
+                pass
         self._closed = True
         for worker in self._workers:
             worker.shutdown()

@@ -609,7 +609,6 @@ def test_fabric_matches_single_switch_oracle(scenario, backend, fabric_reference
         len(topology.route_path(p.ingress)) for p in trace
     )
     assert result.hop_lookups == sum(s.packets for s in result.per_switch.values())
-    assert result.session.packets == result.hop_lookups
     assert result.matched == sum(1 for rid in truth if rid is not None)
     assert fabric.partial_commits == 0
 

@@ -240,11 +240,28 @@ class TestFabricController:
         assert result.hop_lookups == sum(
             len(topo.route_path(packet.ingress)) for packet in trace
         )
-        assert result.session.packets == result.hop_lookups
         for dpid, stats in result.per_switch.items():
             switch = fabric.switch(dpid)
             assert switch.stats.packets_classified == stats.packets
             assert switch.stats.packets_matched == stats.hits
+
+    def test_serve_reads_no_footprint(self, small_acl_ruleset, monkeypatch):
+        """A serve counts what it served; it walks no switch's memory."""
+        topo = Topology.line(4)
+        fabric = FabricController(topo, vectorized=True)
+        fabric.install(small_acl_ruleset)
+        trace = generate_fabric_trace(small_acl_ruleset, topo.ingresses(), 200, seed=21)
+
+        def refuse(self):
+            raise AssertionError("serve() read a switch's memory footprint")
+
+        monkeypatch.setattr(ConfigurableClassifier, "memory_bits", refuse)
+        result = fabric.serve(trace)
+        assert result.packets == len(trace)
+        assert result.hop_lookups == sum(len(topo.route_path(p.ingress)) for p in trace)
+        assert [record.rule_id for record in result.results] == [
+            fabric.classify(packet).rule_id for packet in trace
+        ]
 
     def test_commit_converges_only_affected_switches(self):
         fabric = FabricController(Topology.line(3))

@@ -4,7 +4,8 @@ Covers the timeout policies (idle / hard / hybrid) on the packets-observed
 virtual clock, capacity-pressure eviction with and without predictors,
 surgical invalidation by control-plane commits, the wholesale epoch flush on
 untracked mutations, prewarming, the flow-churn trace generator, and the
-stats plumbing through SessionStats / ParallelSession / cache_stats.
+flow counters read from their owner (FlowCache.stats /
+ParallelSession.flow_cache_stats) beside the cache_stats ratios.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.api.control import Txn
 from repro.api.registry import create_classifier
-from repro.api.session import ClassificationSession, SessionStats
+from repro.api.session import ClassificationSession
 from repro.core.classifier import ConfigurableClassifier
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.perf.flowcache import (
@@ -493,42 +494,31 @@ class TestPrewarm:
 
 
 # ---------------------------------------------------------------------------
-# Stats plumbing: SessionStats, ParallelSession, cache_stats ratios
+# Stats plumbing: flow counters read from their owner, cache_stats ratios
 # ---------------------------------------------------------------------------
 
 
 class TestStatsPlumbing:
     def test_session_stats_flow_fields(self, small_acl_ruleset):
+        """A session's flow counters are read from the cache that owns them."""
         trace = generate_flow_churn_trace(small_acl_ruleset, count=300, seed=9, flows=20)
         classifier = create_classifier(
             "configurable", small_acl_ruleset, fast=True, flow_cache=True
         )
-        session = ClassificationSession(classifier)
-        stats = session.run(trace)
-        assert stats.flow_lookups == len(trace)
-        assert 0.0 < stats.flow_hit_rate <= 1.0
-        assert stats.flow_hits == classifier.flow_cache.hits
+        stats = ClassificationSession(classifier).run(trace)
+        flow = classifier.flow_cache.stats()
+        assert stats.packets == flow["lookups"] == len(trace)
+        assert 0.0 < flow["hit_rate"] <= 1.0
+        assert flow["hits"] == classifier.flow_cache.hits
+        assert flow["hits"] + flow["misses"] == flow["lookups"]
+        assert not hasattr(stats, "flow_lookups")
 
     def test_session_stats_flow_fields_default_zero(self, small_acl_ruleset, small_trace):
+        """Without a flow cache there are no flow counters to read."""
         classifier = create_classifier("configurable", small_acl_ruleset)
         stats = ClassificationSession(classifier).run(small_trace)
-        assert stats.flow_lookups == 0
-        assert stats.flow_hit_rate == 0.0
-
-    def test_session_stats_merge_sums_flow_counters(self):
-        base = dict(
-            classifier="c", packets=10, matched=8, chunks=1,
-            average_memory_accesses=1.0, worst_memory_accesses=2,
-            average_latency_cycles=None, worst_latency_cycles=None,
-            memory_bits=100,
-        )
-        a = SessionStats(flow_lookups=10, flow_hits=6, flow_evictions=1, **base)
-        b = SessionStats(flow_lookups=20, flow_hits=18, flow_evictions=0, **base)
-        merged = SessionStats.merge([a, b])
-        assert merged.flow_lookups == 30
-        assert merged.flow_hits == 24
-        assert merged.flow_evictions == 1
-        assert merged.flow_hit_rate == 24 / 30
+        assert classifier.flow_cache is None
+        assert stats.packets == len(small_trace)
 
     def test_parallel_session_merged_flow_stats(self, small_acl_ruleset):
         from repro.perf import ParallelSession, ReplicaSpec
@@ -545,9 +535,9 @@ class TestStatsPlumbing:
             assert merged["replicas"] == 2
             assert merged["lookups"] == len(trace)
             assert 0.0 < merged["hit_rate"] <= 1.0
-            stats = session.stats()
-            assert stats.flow_lookups == merged["lookups"]
-            assert stats.flow_hits == merged["hits"]
+            assert merged["hit_rate"] == merged["hits"] / merged["lookups"]
+            assert merged["hits"] + merged["misses"] == merged["lookups"]
+            assert session.stats().packets == merged["lookups"]
 
     def test_parallel_session_without_flow_cache_reports_none(self, small_acl_ruleset):
         from repro.perf import ParallelSession, ReplicaSpec

@@ -1,12 +1,14 @@
 """Tests for the ParallelSession process pool.
 
-Covers the scale-out contracts of :mod:`repro.perf.parallel`: exact merged
-statistics and bit-identical results from the worker processes, the
-constant-memory bounded-chunk dispatch (the trace is never materialised),
-the commit-on-success failure semantics (a poisoned packet corrupts
-nothing), the picklable :class:`ReplicaSpec` worker recipe, the one
-accepted ``backend`` keyword, and the :class:`SessionStats.merge` edge cases
-(re-merging merged stats, mixed latency parts, zero-packet parts).
+Covers the scale-out contracts of :mod:`repro.perf.parallel`: pool
+statistics equal to one session's and bit-identical results from the worker
+processes, a footprint that follows commits, the constant-memory
+bounded-chunk dispatch (the trace is never materialised), the
+commit-on-success failure semantics (a poisoned packet corrupts nothing),
+the picklable :class:`ReplicaSpec` worker recipe, the one accepted
+``backend`` keyword, and the merge edge cases of the one statistics fold,
+:meth:`RunningCounters.merge` plus :meth:`RunningCounters.to_stats` (mixed
+latency parts, zero-packet parts).
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.api import ClassificationSession, SessionStats, create_classifier
+from repro.api import ClassificationSession, create_classifier
+from repro.api.control import Txn
+from repro.api.session import RunningCounters
 from repro.core.result import BatchResult, Classification
 from repro.exceptions import ConfigurationError
 from repro.perf import ParallelSession, ReplicaSpec
@@ -120,14 +124,13 @@ class TestProcessBackend:
             merged = pool.run(trace)
             assert merged.packets == single.packets
             assert merged.matched == single.matched
+            assert merged.chunks == single.chunks
             assert merged.truncated_lookups == single.truncated_lookups
             assert merged.worst_memory_accesses == single.worst_memory_accesses
-            assert merged.average_memory_accesses == pytest.approx(
-                single.average_memory_accesses
-            )
-            assert merged.average_latency_cycles == pytest.approx(
-                single.average_latency_cycles
-            )
+            assert merged.worst_latency_cycles == single.worst_latency_cycles
+            # One fold over the same integer sums: identical averages.
+            assert merged.average_memory_accesses == single.average_memory_accesses
+            assert merged.average_latency_cycles == single.average_latency_cycles
             assert merged.memory_bits == 2 * single.memory_bits
             assert merged.classifier == "configurablex2"
             # Bit-exact classifications, in input order, matching the linear
@@ -135,6 +138,24 @@ class TestProcessBackend:
             fed = pool.feed(trace)
             assert list(fed.results) == list(batch.results)
             assert [result.rule_id for result in fed] == truth
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_footprint_follows_commits(self, spec, small_acl_ruleset, workers):
+        """``memory_bits`` is read fresh per stats() call, and kept at close()."""
+        classifier = spec()
+        txn = Txn()
+        for rule in small_acl_ruleset.rules()[:40]:
+            txn.remove(rule.rule_id)
+        delta = txn.delta()
+        with ParallelSession.from_factory(spec, workers=workers) as pool:
+            before = pool.stats()
+            assert before.memory_bits == workers * classifier.memory_bits()
+            pool.apply(delta)
+            classifier.control.apply_delta(delta)
+            after = pool.stats()
+            assert after.memory_bits == workers * classifier.memory_bits()
+            assert after.memory_bits != before.memory_bits
+        assert pool.stats() == after
 
     def test_generator_input_and_reset(self, spec, reference):
         trace, _, _, _ = reference
@@ -257,52 +278,53 @@ class TestProcessBackend:
 
 
 class TestSessionStatsMergeEdgeCases:
-    def _stats(self, name="configurable", packets=10, latency=10.0, worst=12, **overrides):
-        base = dict(
-            classifier=name,
-            packets=packets,
-            matched=packets // 2,
-            chunks=1,
-            average_memory_accesses=4.0 if packets else 0.0,
-            worst_memory_accesses=9 if packets else 0,
-            average_latency_cycles=latency,
-            worst_latency_cycles=worst,
-            memory_bits=100,
-            truncated_lookups=0,
-        )
-        base.update(overrides)
-        return SessionStats(**base)
+    """Edge cases of :meth:`RunningCounters.merge` plus one ``to_stats`` render."""
 
-    def test_remerging_merged_stats_stacks_suffixes(self):
-        merged = SessionStats.merge([self._stats(name="mbt_"), self._stats(name="mbt_")] * 2)
-        assert merged.classifier == "mbt_x4"
-        stacked = SessionStats.merge([merged, merged])
-        # Re-merging a merged deployment records both fan-outs.
-        assert stacked.classifier == "mbt_x4x2"
-        assert stacked.packets == 2 * merged.packets
-        assert stacked.memory_bits == 2 * merged.memory_bits
+    @staticmethod
+    def _part(packets=10, latency=10, worst=12) -> RunningCounters:
+        counters = RunningCounters()
+        counters.packets = packets
+        counters.matched = packets // 2
+        counters.chunks = 1 if packets else 0
+        counters.access_sum = 4 * packets
+        counters.access_worst = 9 if packets else 0
+        if latency is not None:
+            counters.latency_sum = latency * packets
+            counters.latency_count = packets
+            counters.latency_worst = worst
+        return counters
+
+    @staticmethod
+    def _merge(*parts):
+        total = RunningCounters()
+        for part in parts:
+            total.merge(part)
+        return total.to_stats("configurable", 100 * len(parts))
 
     def test_mixed_latency_parts_weight_only_modelled_packets(self):
-        with_latency = self._stats(packets=10, latency=20.0, worst=30)
-        without = self._stats(packets=90, latency=None, worst=None)
-        merged = SessionStats.merge([with_latency, without])
+        with_latency = self._part(packets=10, latency=20, worst=30)
+        without = self._part(packets=90, latency=None)
+        merged = self._merge(with_latency, without)
         # The 90 latency-free packets must not dilute the average.
-        assert merged.average_latency_cycles == pytest.approx(20.0)
+        assert merged.average_latency_cycles == 20.0
         assert merged.worst_latency_cycles == 30
         assert merged.packets == 100
 
     def test_zero_packet_parts(self):
-        empty = self._stats(packets=0, latency=None, worst=None, matched=0, chunks=0)
-        merged = SessionStats.merge([empty, empty])
+        empty = self._part(packets=0, latency=None)
+        merged = self._merge(empty, empty)
         assert merged.packets == 0
+        assert merged.chunks == 0
         assert merged.average_memory_accesses == 0.0
         assert merged.average_latency_cycles is None
+        assert merged.worst_latency_cycles is None
         assert merged.hit_ratio == 0.0
 
     def test_zero_packet_part_does_not_skew_busy_part(self):
-        busy = self._stats(packets=40)
-        empty = self._stats(packets=0, latency=None, worst=None, matched=0, chunks=0)
-        merged = SessionStats.merge([busy, empty])
-        assert merged.average_memory_accesses == pytest.approx(4.0)
-        assert merged.average_latency_cycles == pytest.approx(10.0)
-        assert merged.classifier == "configurablex2"
+        busy = self._part(packets=40)
+        empty = self._part(packets=0, latency=None)
+        merged = self._merge(busy, empty)
+        assert merged.average_memory_accesses == 4.0
+        assert merged.average_latency_cycles == 10.0
+        assert merged.worst_memory_accesses == 9
+        assert merged.memory_bits == 200
