@@ -1,57 +1,78 @@
 """Vectorized batch walks over the single-field engines.
 
 The :mod:`repro.perf` fast path resolves each *unique* field value once per
-batch, but still walks the engine's per-value ``lookup()`` — a Python
-pointer-chase per value.  This module provides **batch walkers** that resolve
-a whole chunk's unique values per dimension in one pass over flattened
-array-based views of the engine structures:
+batch.  This module provides **batch walkers** that resolve a chunk's unique
+values per dimension in one pass over flattened views of the engine
+structures, and answer as the paper's field engines answer the label
+combiner: with a pointer into the label-list memory.  Here that pointer is a
+**result id**.  Each walker owns its dimension's intern table and ids every
+distinct :class:`~repro.fields.base.FieldLookupResult` of its view once, when
+it builds or patches the view; :meth:`BatchWalker.resolve` returns one id per
+value and :meth:`BatchWalker.result` dereferences an id.  One counter per
+walker issues the ids and is never rewound, so an id names one result for the
+walker's whole life and, within a walker, equal ids mean equal results.
 
 * :class:`TrieBatchWalker` — the multi-bit trie flattened into per-level
-  child tables plus a cumulative match tuple per node; a batch lookup is
-  ``levels`` array-gather steps over all values at once.
-* :class:`BstBatchWalker` — the binary search over interval boundaries run
-  for every value simultaneously (``log2`` masked compare/update rounds), so
-  the per-value access counts come out of the exact same search the scalar
-  path performs.
-* :class:`PortBatchWalker` — all registers compared against all values as one
-  range matrix, with the bank pre-sorted in result order.
-* :class:`ScalarBatchWalker` — the fallback for engines with no array view
-  (the 256-entry protocol LUT, custom engines): per-value ``lookup()``.
+  child tables; each flat node carries the id of its result (the cumulative
+  match tuple from the root down, plus the access count of a walk that ends
+  there).  A batch lookup is ``levels`` gather steps.
+* :class:`BstBatchWalker` — one id per elementary interval of the binary
+  search.  Boundary 0 is always present, so the interval a value falls in
+  fixes the comparisons the scalar search makes; a lookup is one bisection.
+* :class:`PortBatchWalker` — the register bank split into elementary
+  intervals at every ``low`` and ``high + 1``, one id each, found by the same
+  bisection.
+* :class:`ScalarBatchWalker` — per-value ``lookup()``, interning each result:
+  the fallback for engines with no array view (the 256-entry protocol LUT,
+  custom engines) and the walker of every dimension in the fast path's plain
+  mode.
 
-Every walker is **bit-exact** with the engine's own ``lookup()``: same match
-tuples in the same order, same ``memory_accesses``, same ``cycles`` — the
-walkers only restructure *how* the identical walk is executed.  Walkers watch
-their engine through the mutation-epoch surface
-(:class:`~repro.observers.MutationEpoch`): every ``resolve()`` compares the
-engine's epoch with the one the flattened view was built at and refreshes
-lazily after any insert/remove/reprioritize.
+Every walker is **bit-exact** with the engine's own ``lookup()``:
+``walker.result(id)`` equals ``engine.lookup(value)`` for the id ``resolve``
+returned for ``value`` — same match tuple in the same order, same
+``memory_accesses``, same ``cycles``.  Walkers watch their engine through the
+mutation-epoch surface (:class:`~repro.observers.MutationEpoch`): every
+``resolve()`` compares the engine's epoch with the one the flattened view was
+built at and refreshes lazily after any insert/remove/reprioritize.
+
+**Bounds.**  An array walker interns as it flattens; a patch only adds, and
+a rebuild prunes the table to the results its rows name once it holds more
+than twice as many.  Until then a retired result keeps its id, so the
+results of a rule removed and re-inserted come back under their old ids
+and the fast path's result layer keeps hitting.  The scalar walker's table
+grows with the distinct results it looked up, and its owner bounds it with
+:meth:`BatchWalker.prune`.
 
 A control-plane commit hands each dimension's field spans (see
 :class:`~repro.core.invalidation.InvalidationScope`) to the walker through
 :meth:`BatchWalker.note_spans`.  :class:`TrieBatchWalker` then *patches* its
 view at the next ``resolve()``: it re-flattens only the first-level subtrees
-the spans touch, appending fresh node ids, which the field-span contract makes
-exact (a commit restructures or relabels no node outside the first-level
-subtrees of its spans).  Epochs remain the backstop: the whole view is
-rebuilt as before when the walker missed a commit, the engine was mutated
-outside one, a span is wide, orphaned flat nodes would outnumber live ones,
-or the walker is of another type.
+the spans touch, appending fresh node rows (a node whose result is already
+interned reuses its id), which the field-span contract makes exact (a commit
+restructures or relabels no node outside the first-level subtrees of its
+spans).  Epochs remain the backstop: the whole view is rebuilt as before when
+the walker missed a commit, the engine was mutated outside one, a span is
+wide, orphaned flat nodes would outnumber live ones, or the walker is of
+another type.
 
-NumPy is used when importable (:data:`HAVE_NUMPY`); every walker also carries
-a pure-Python flat-array fallback so the module works on a bare interpreter.
-Pass ``use_numpy=False`` to force the fallback (the equivalence tests sweep
-both implementations).
+NumPy is used when importable (:data:`HAVE_NUMPY`), for calls of at least
+:data:`NUMPY_MIN_VALUES` values; smaller calls, and every call without NumPy,
+take the pure-Python walk over the same view.  Pass ``use_numpy=False`` to
+force the pure-Python walk (the equivalence tests sweep both).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from bisect import bisect_right
+from itertools import chain
+from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.exceptions import FieldLookupError
 from repro.fields.base import FieldLookupResult, SingleFieldEngine
 from repro.fields.binary_search_tree import BinarySearchTree
 from repro.fields.multibit_trie import MultibitTrie
 from repro.fields.port_registers import PortRegisterFile
+from repro.fields.range_utils import PORT_MAX
 
 try:  # pragma: no cover - exercised implicitly by every numpy walker test
     import numpy as _np
@@ -63,6 +84,7 @@ except ImportError:  # pragma: no cover - the fallback paths are tested directly
 
 __all__ = [
     "HAVE_NUMPY",
+    "NUMPY_MIN_VALUES",
     "BatchWalker",
     "TrieBatchWalker",
     "BstBatchWalker",
@@ -71,19 +93,28 @@ __all__ = [
     "batch_walker",
 ]
 
+#: Smallest call the array walkers hand to NumPy.  Below it NumPy's fixed
+#: cost per call outweighs its per-value gain.  Measured on the acl1-1K views
+#: (2-CPU x86-64 host, CPython 3.11, NumPy 2.4, median of 15 interleaved
+#: runs per size): the pure-Python walk was faster below 48-96 values on the
+#: tries (5-5-6 strides, three gathers and selects per NumPy call) and below
+#: 24-48 on the BST and port intervals (one ``searchsorted``).
+NUMPY_MIN_VALUES = 64
+
 
 class BatchWalker:
-    """Base class: lazy flattened engine view with epoch-based invalidation.
+    """Base class: lazy flattened engine view, epoch invalidation, intern table.
 
     Subclasses implement :meth:`_rebuild` (derive the flat view from the
-    engine) and :meth:`_resolve` (answer a batch of values against it).
+    engine), :meth:`_resolve` (answer a batch of values against it with
+    result ids) and :meth:`_make` (build the result a key names).
     :meth:`resolve` takes a sequence of values — deduplication is the
-    caller's job — and returns one :class:`FieldLookupResult` per value, in
-    input order, bit-exact with ``engine.lookup(value)``.  The flat view is
-    stamped with the engine's mutation epoch when built and refreshed
-    whenever the epoch has advanced since: patched in place when
-    :meth:`note_spans` queued a patch for exactly the live epoch, rebuilt
-    otherwise.
+    caller's job — and returns one result id per value, in input order;
+    :meth:`result` turns an id back into the :class:`FieldLookupResult`,
+    bit-exact with ``engine.lookup(value)``.  The flat view is stamped with
+    the engine's mutation epoch when built and refreshed whenever the epoch
+    has advanced since: patched in place when :meth:`note_spans` queued a
+    patch for exactly the live epoch, rebuilt otherwise.
     """
 
     def __init__(self, engine: SingleFieldEngine, use_numpy: Optional[bool] = None) -> None:
@@ -99,6 +130,19 @@ class BatchWalker:
         self.rebuilds = 0
         #: Flat-view patches applied in place of a rebuild (``walker_patches``).
         self.patches = 0
+        # The intern table: result key -> id and id -> result.
+        self._ids: Dict[Hashable, int] = {}
+        self._results: Dict[int, FieldLookupResult] = {}
+        self._next_id = 0
+
+    @property
+    def interned(self) -> int:
+        """Number of results in the intern table."""
+        return len(self._results)
+
+    def result(self, result_id: int) -> FieldLookupResult:
+        """The result an id returned by :meth:`resolve` names."""
+        return self._results[result_id]
 
     def detach(self) -> None:
         """Drop the flat view (the next resolve rebuilds from the engine)."""
@@ -114,8 +158,16 @@ class BatchWalker:
         patch, so the next resolve rebuilds (the epoch moved).
         """
 
-    def resolve(self, values: Sequence[int]) -> List[FieldLookupResult]:
-        """Resolve every value in one batch walk (input order preserved)."""
+    def prune(self, live_ids) -> None:
+        """Bound the intern table by the ids its owner still holds.
+
+        Only :class:`ScalarBatchWalker` needs this.  An array walker's table
+        is bounded by its view (see :meth:`_retain_named`), so for it this
+        does nothing.
+        """
+
+    def resolve(self, values: Sequence[int]) -> List[int]:
+        """Resolve every value in one batch walk: one result id per value."""
         if not values:
             return []
         epoch = self.engine.mutation_epoch
@@ -129,6 +181,27 @@ class BatchWalker:
             self._pending_epoch = None
         return self._resolve(values)
 
+    def _intern(self, key: Hashable) -> int:
+        """The id of ``key``'s result; a first sight interns ``_make(key)``."""
+        result_id = self._ids.get(key)
+        if result_id is None:
+            result_id = self._ids[key] = self._next_id
+            self._next_id += 1
+            self._results[result_id] = self._make(key)
+        return result_id
+
+    def _retain(self, live: set) -> None:
+        """Drop every interned result whose id is not in ``live``."""
+        if len(live) < len(self._results):
+            self._results = {i: r for i, r in self._results.items() if i in live}
+            self._ids = {key: i for key, i in self._ids.items() if i in live}
+
+    def _retain_named(self, named: set) -> None:
+        """A rebuild's prune: to the ids the view's rows name, once the
+        table holds more than twice as many (so it never holds more)."""
+        if len(self._results) > 2 * len(named):
+            self._retain(named)
+
     def _patch(self) -> bool:
         """Apply the queued patch; False asks :meth:`resolve` to rebuild."""
         return False
@@ -136,7 +209,10 @@ class BatchWalker:
     def _rebuild(self) -> None:
         raise NotImplementedError
 
-    def _resolve(self, values: Sequence[int]) -> List[FieldLookupResult]:
+    def _resolve(self, values: Sequence[int]) -> List[int]:
+        raise NotImplementedError
+
+    def _make(self, key: Hashable) -> FieldLookupResult:
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -144,33 +220,51 @@ class BatchWalker:
 
 
 class ScalarBatchWalker(BatchWalker):
-    """Fallback walker: per-value ``engine.lookup`` (trivially bit-exact).
+    """Per-value ``engine.lookup``, each result interned (trivially bit-exact).
 
     Used for the protocol LUT (whose value domain is 256 entries — there is
-    nothing to vectorize) and for any engine without an array view.
+    nothing to vectorize), for any engine without an array view, and for
+    every dimension of the fast path's plain mode.  The results themselves
+    are the intern keys, so the table grows with every distinct result
+    looked up; :meth:`prune` cuts it to the ids its owner still holds.
     """
 
     def _rebuild(self) -> None:  # nothing to flatten
         pass
 
-    def _resolve(self, values: Sequence[int]) -> List[FieldLookupResult]:
+    def _make(self, key: FieldLookupResult) -> FieldLookupResult:
+        return key
+
+    def prune(self, live_ids) -> None:
+        self._retain(set(live_ids))
+
+    def _resolve(self, values: Sequence[int]) -> List[int]:
         lookup = self.engine.lookup
-        return [lookup(value) for value in values]
+        known = self._ids.get
+        intern = self._intern
+        ids = []
+        for value in values:
+            result = lookup(value)
+            result_id = known(result)
+            ids.append(intern(result) if result_id is None else result_id)
+        return ids
 
 
 class TrieBatchWalker(BatchWalker):
     """Batch walk over a :class:`MultibitTrie` flattened into level tables.
 
-    The flat view assigns each trie node a dense id per level and stores, per
-    level, one child table ``table[node_id * (1 << stride) + branch] ->
-    child_id`` (``-1`` for no child) plus the node's *cumulative* match tuple
-    — the labels collected from the root down to that node, merged as the
-    scalar lookup's :class:`~repro.labels.label_list.LabelList` merges them.  A
-    batch lookup then needs only ``levels`` gather steps to find each value's
-    terminal node (and its traversal depth, which is the access count).
+    The flat view assigns each trie node a dense row per level and stores,
+    per level, one child table ``table[row * (1 << stride) + branch] ->
+    child row`` (``-1`` for no child) plus the result id of every row.  A
+    node's result is its *cumulative* match tuple — the labels collected
+    from the root down to that node, merged as the scalar lookup's
+    :class:`~repro.labels.label_list.LabelList` merges them — and the access
+    count of a walk that ends there (one per level entered, plus the probe
+    that found no child).  A batch lookup then needs only ``levels`` gather
+    steps to find each value's last node.
 
     A patch re-flattens the first-level subtrees the queued spans touch: their
-    nodes get fresh ids appended at every level and the root's child table
+    nodes get fresh rows appended at every level and the root's child table
     points at them, orphaning the old rows.  It rebuilds instead when the
     spans touch more than a quarter of the first-level subtrees (a
     whole-domain span, the only kind a change to the root's own labels
@@ -195,24 +289,45 @@ class TrieBatchWalker(BatchWalker):
             return
         self._pending_epoch = post_mark[1]
 
+    def _make(self, key) -> FieldLookupResult:
+        matches, accesses = key
+        return FieldLookupResult(
+            matches=matches, memory_accesses=accesses, cycles=self.engine.lookup_cycles
+        )
+
     def _rebuild(self) -> None:
         trie: MultibitTrie = self.engine
         self._width = trie.width
         self._strides = trie.strides
-        root_matches = tuple(trie.root.labels.pairs())
+        self._root_matches = tuple(trie.root.labels.pairs())
         self._tables: List[list] = [[] for _ in trie.strides]
-        self._matches: List[List[tuple]] = [[root_matches]] + [[] for _ in trie.strides]
-        self._flatten(0, [(trie.root, root_matches)])
+        root_id = self._intern((self._root_matches, min(1, len(trie.strides))))
+        #: Result id of every flat row, per level (level 0 is the root).
+        self._node_ids: List[List[int]] = [[root_id]] + [[] for _ in trie.strides]
+        self._flatten(0, [(trie.root, self._root_matches)])
+        self._retain_named(set(chain.from_iterable(self._node_ids)))
+        # One (table, stride, shift, mask, next level's ids) step per level;
+        # the tables are only ever written in place or extended.
+        shift = self._width
+        self._steps = []
+        for table, stride, ids in zip(self._tables, self._strides, self._node_ids[1:]):
+            shift -= stride
+            self._steps.append((table, stride, shift, (1 << stride) - 1, ids))
         if self.use_numpy:
-            self._np_tables = [_np.asarray(table, dtype=_np.int64) for table in self._tables]
+            self._np_tables = [
+                _np.asarray(table + [-1] * (1 << stride), dtype=_np.int64)
+                for table, stride in zip(self._tables, self._strides)
+            ]
+            self._np_ids = [_np.asarray(ids, dtype=_np.int64) for ids in self._node_ids]
 
     def _patch(self) -> bool:
         trie: MultibitTrie = self.engine
         children = trie.root.children
         root_table = self._tables[0]
-        root_matches = self._matches[0][0]
-        level_one = self._matches[1]
-        grown_from = [len(table) for table in self._tables]
+        level_one = self._node_ids[1]
+        grown_from = [len(ids) for ids in self._node_ids]
+        table_from = [len(table) for table in self._tables]
+        accesses = min(2, len(self._strides))
         frontier = []
         for branch in sorted(self._touched):
             child = children.get(branch)
@@ -220,20 +335,28 @@ class TrieBatchWalker(BatchWalker):
                 root_table[branch] = -1
                 continue
             root_table[branch] = len(level_one)
-            merged = _merge_matches(root_matches, child.labels.pairs())
-            level_one.append(merged)
+            merged = _merge_matches(self._root_matches, child.labels.pairs())
+            level_one.append(self._intern((merged, accesses)))
             frontier.append((child, merged))
         self._flatten(1, frontier)
-        if sum(map(len, self._matches)) > 2 * trie.node_count():
+        if sum(map(len, self._node_ids)) > 2 * trie.node_count():
             return False  # orphaned rows outnumber live nodes
         if self.use_numpy:
-            np_tables = self._np_tables
-            np_tables[0] = _np.asarray(root_table, dtype=_np.int64)
-            for level in range(1, len(np_tables)):
-                tail = self._tables[level][grown_from[level]:]
+            tables = self._np_tables
+            tables[0][:len(root_table)] = root_table
+            for level in range(1, len(tables)):
+                tail = self._tables[level][table_from[level]:]
+                if tail:  # in front of the dead row
+                    dead = 1 << self._strides[level]
+                    tables[level] = _np.concatenate(
+                        (tables[level][:-dead], _np.asarray(tail, dtype=_np.int64),
+                         tables[level][-dead:])
+                    )
+            for level in range(1, len(self._np_ids)):
+                tail = self._node_ids[level][grown_from[level]:]
                 if tail:
-                    np_tables[level] = _np.concatenate(
-                        (np_tables[level], _np.asarray(tail, dtype=_np.int64))
+                    self._np_ids[level] = _np.concatenate(
+                        (self._np_ids[level], _np.asarray(tail, dtype=_np.int64))
                     )
         return True
 
@@ -241,253 +364,203 @@ class TrieBatchWalker(BatchWalker):
         """Append the subtrees below ``frontier`` to the flat view.
 
         ``frontier`` holds ``(node, cumulative matches)`` of nodes at
-        ``level`` whose ids are the next rows of that level's table; each
-        level below gets their rows and fresh ids for their children.
+        ``level`` whose rows are the next rows of that level's table; each
+        level below gets their child rows, and each new row the id of its
+        result (interned on first sight).
         """
-        for stride, table, level_matches in zip(
-            self._strides[level:], self._tables[level:], self._matches[level + 1:]
+        levels = len(self._strides)
+        known = self._ids.get
+        intern = self._intern
+        for depth, (stride, table, level_ids) in enumerate(
+            zip(self._strides[level:], self._tables[level:], self._node_ids[level + 1:]),
+            start=level + 1,
         ):
+            accesses = min(depth + 1, levels)
             branch_count = 1 << stride
             rows = [-1] * (len(frontier) * branch_count)
             next_frontier = []
             for index, (node, cumulative) in enumerate(frontier):
                 base = index * branch_count
                 for branch, child in node.children.items():
-                    rows[base + branch] = len(level_matches)
+                    rows[base + branch] = len(level_ids)
                     merged = _merge_matches(cumulative, child.labels.pairs())
-                    level_matches.append(merged)
+                    key = (merged, accesses)
+                    result_id = known(key)
+                    level_ids.append(intern(key) if result_id is None else result_id)
                     next_frontier.append((child, merged))
             table.extend(rows)
             frontier = next_frontier
 
-    def _check_range(self, values) -> None:
-        limit = 1 << self._width
-        for value in values:
-            if not 0 <= value < limit:
-                raise FieldLookupError(
-                    f"lookup key {value} out of {self._width}-bit range"
-                )
-
-    def _resolve(self, values: Sequence[int]) -> List[FieldLookupResult]:
-        self._check_range(values)
-        if self.use_numpy:
+    def _resolve(self, values: Sequence[int]) -> List[int]:
+        _check_range(values, self._width)
+        if self.use_numpy and len(values) >= NUMPY_MIN_VALUES:
             return self._resolve_numpy(values)
-        return self._resolve_python(values)
-
-    def _resolve_numpy(self, values: Sequence[int]) -> List[FieldLookupResult]:
-        keys = _np.asarray(values, dtype=_np.int64)
-        count = len(keys)
-        node = _np.zeros(count, dtype=_np.int64)
-        depth = _np.zeros(count, dtype=_np.int64)
-        term_level = _np.zeros(count, dtype=_np.int64)
-        term_node = _np.zeros(count, dtype=_np.int64)
-        alive = _np.ones(count, dtype=bool)
-        consumed = 0
-        for level, stride in enumerate(self._strides):
-            if not alive.any():
-                break
-            shift = self._width - consumed - stride
-            consumed += stride
-            branch = (keys >> shift) & ((1 << stride) - 1)
-            table = self._np_tables[level]
-            if table.size:
-                # Dead lanes hold a node id from the level they stopped at;
-                # gather a safe slot for them and mask the result away.
-                gathered = table[_np.where(alive, node * (1 << stride) + branch, 0)]
-            else:
-                gathered = _np.full(count, -1, dtype=_np.int64)
-            child = _np.where(alive, gathered, -1)
-            depth[alive] += 1
-            advanced = alive & (child >= 0)
-            term_level[advanced] = level + 1
-            term_node[advanced] = child[advanced]
-            node = _np.where(advanced, child, node)
-            alive = advanced
-        cycles = self.engine.lookup_cycles
-        matches = self._matches
-        return [
-            FieldLookupResult(matches=matches[lvl][nid], memory_accesses=acc, cycles=cycles)
-            for lvl, nid, acc in zip(
-                term_level.tolist(), term_node.tolist(), depth.tolist()
-            )
-        ]
-
-    def _resolve_python(self, values: Sequence[int]) -> List[FieldLookupResult]:
-        cycles = self.engine.lookup_cycles
-        width = self._width
-        strides = self._strides
-        tables = self._tables
-        matches = self._matches
-        results = []
+        root_id = self._node_ids[0][0]
+        steps = self._steps
+        ids = []
         for value in values:
-            node = 0
-            level = 0
-            accesses = 0
-            consumed = 0
-            for stride in strides:
-                shift = width - consumed - stride
-                consumed += stride
-                branch = (value >> shift) & ((1 << stride) - 1)
-                child = tables[level][node * (1 << stride) + branch]
-                accesses += 1
-                if child < 0:
+            row = 0
+            found = root_id
+            for table, stride, shift, mask, level_ids in steps:
+                row = table[(row << stride) + ((value >> shift) & mask)]
+                if row < 0:
                     break
-                node = child
-                level += 1
-            results.append(
-                FieldLookupResult(
-                    matches=matches[level][node], memory_accesses=accesses, cycles=cycles
-                )
-            )
-        return results
+                found = level_ids[row]
+            ids.append(found)
+        return ids
+
+    def _resolve_numpy(self, values: Sequence[int]) -> List[int]:
+        # Every NumPy table ends in a dead row of -1s, so a lane that found
+        # no child (row -1) indexes the dead row from the end and stays dead
+        # without masking; its id stays that of the last node it entered.
+        keys = _np.asarray(values, dtype=_np.int64)
+        found = _np.full(len(keys), self._node_ids[0][0], dtype=_np.int64)
+        row = _np.zeros(len(keys), dtype=_np.int64)
+        for (_, stride, shift, mask, _), table, level_ids in zip(
+            self._steps, self._np_tables, self._np_ids[1:]
+        ):
+            row = table[(row << stride) + ((keys >> shift) & mask)]
+            found = _np.where(row >= 0, level_ids[row], found)
+        return found.tolist()
 
 
-class BstBatchWalker(BatchWalker):
-    """Batch binary search over a :class:`BinarySearchTree`'s interval array.
+class _IntervalWalker(BatchWalker):
+    """A view of sorted elementary-interval boundaries, one result id each.
 
-    Runs the scalar lookup's exact comparison loop for every value at once:
-    per round, the still-active lanes compare their midpoint boundary and
-    shrink their ``[low, high]`` window, accumulating one access per round —
-    so the per-value ``memory_accesses`` (and the derived ``cycles``) match
-    the iterative search bit for bit, including the final +1 for the
-    label-list pointer dereference.
+    The BST and port walkers' lookup: one bisection per value (a
+    ``searchsorted`` with NumPy) finds the value's interval.  Subclasses set
+    ``_width`` and ``_noun`` (for the range check) and hand :meth:`_index`
+    their view.
     """
+
+    _noun = "lookup key"
+
+    def _index(self, boundaries: List[int], ids: List[int]) -> None:
+        """Install the view: ``ids[i]`` answers ``boundaries[i]`` up to the next."""
+        self._boundaries = boundaries
+        self._interval_ids = ids
+        self._retain_named(set(ids))
+        if self.use_numpy:
+            self._np_boundaries = _np.asarray(boundaries, dtype=_np.int64)
+            self._np_ids = _np.asarray(ids, dtype=_np.int64)
+
+    def _resolve(self, values: Sequence[int]) -> List[int]:
+        _check_range(values, self._width, self._noun)
+        if self.use_numpy and len(values) >= NUMPY_MIN_VALUES:
+            positions = _np.searchsorted(
+                self._np_boundaries, _np.asarray(values, dtype=_np.int64), side="right"
+            )
+            return self._np_ids[positions - 1].tolist()
+        boundaries = self._boundaries
+        ids = self._interval_ids
+        return [ids[bisect_right(boundaries, value) - 1] for value in values]
+
+
+class BstBatchWalker(_IntervalWalker):
+    """Batch lookup over a :class:`BinarySearchTree`'s elementary intervals.
+
+    Each interval gets the id of the result the scalar search returns for
+    every value in it: the interval's label list and ``memory_accesses`` of
+    one per comparison plus the final label-list pointer dereference.  The
+    comparisons depend only on the interval (boundary 0 is always present,
+    so every value has one), and :func:`_search_depths` counts them for all
+    intervals in one pass over the search's decision tree.  A batch lookup
+    is one bisection per value.
+    """
+
+    def _make(self, key) -> FieldLookupResult:
+        matches, accesses = key
+        return FieldLookupResult(
+            matches=matches, memory_accesses=accesses, cycles=max(accesses, 1)
+        )
 
     def _rebuild(self) -> None:
         engine: BinarySearchTree = self.engine
         boundaries, interval_lists, list_pool = engine.search_arrays()
-        self._boundaries = list(boundaries)
-        self._interval_lists = list(interval_lists)
-        self._list_pool = list(list_pool)
-        if self.use_numpy:
-            self._np_boundaries = _np.asarray(boundaries, dtype=_np.int64)
-
-    def _check_range(self, values) -> None:
-        width = self.engine.width
-        limit = 1 << width
-        for value in values:
-            if not 0 <= value < limit:
-                raise FieldLookupError(f"lookup key {value} out of {width}-bit range")
-
-    def _resolve(self, values: Sequence[int]) -> List[FieldLookupResult]:
-        self._check_range(values)
-        if self.use_numpy:
-            return self._resolve_numpy(values)
-        return self._resolve_python(values)
-
-    def _resolve_numpy(self, values: Sequence[int]) -> List[FieldLookupResult]:
-        keys = _np.asarray(values, dtype=_np.int64)
-        count = len(keys)
-        boundaries = self._np_boundaries
-        low = _np.zeros(count, dtype=_np.int64)
-        high = _np.full(count, len(boundaries) - 1, dtype=_np.int64)
-        position = _np.zeros(count, dtype=_np.int64)
-        accesses = _np.zeros(count, dtype=_np.int64)
-        active = low <= high
-        while active.any():
-            mid = (low + high) >> 1
-            accesses[active] += 1
-            le = boundaries[mid] <= keys
-            take = active & le
-            position[take] = mid[take]
-            low[take] = mid[take] + 1
-            drop = active & ~le
-            high[drop] = mid[drop] - 1
-            active = low <= high
-        pool = self._list_pool
-        pointers = self._interval_lists
-        return [
-            FieldLookupResult(
-                matches=pool[pointers[pos]],
-                memory_accesses=acc + 1,  # + the label-list pointer dereference
-                cycles=max(acc + 1, 1),
-            )
-            for pos, acc in zip(position.tolist(), accesses.tolist())
-        ]
-
-    def _resolve_python(self, values: Sequence[int]) -> List[FieldLookupResult]:
-        boundaries = self._boundaries
-        pool = self._list_pool
-        pointers = self._interval_lists
-        results = []
-        for value in values:
-            accesses = 0
-            low, high = 0, len(boundaries) - 1
-            position = 0
-            while low <= high:
-                mid = (low + high) // 2
-                accesses += 1
-                if boundaries[mid] <= value:
-                    position = mid
-                    low = mid + 1
-                else:
-                    high = mid - 1
-            accesses += 1  # dereference the interval's label-list pointer
-            results.append(
-                FieldLookupResult(
-                    matches=pool[pointers[position]],
-                    memory_accesses=accesses,
-                    cycles=max(accesses, 1),
+        self._width = engine.width
+        # Intervals sharing a label list and a depth share a result: hash each
+        # distinct (list, depth) pair's match tuple once.
+        by_pointer: Dict[tuple, int] = {}
+        ids = []
+        for pointer, depth in zip(interval_lists, _search_depths(len(boundaries))):
+            result_id = by_pointer.get((pointer, depth))
+            if result_id is None:
+                result_id = by_pointer[pointer, depth] = self._intern(
+                    (list_pool[pointer], depth + 1)  # + the pointer dereference
                 )
-            )
-        return results
+            ids.append(result_id)
+        self._index(list(boundaries), ids)
 
 
-class PortBatchWalker(BatchWalker):
+class PortBatchWalker(_IntervalWalker):
     """Batch range compare over a :class:`PortRegisterFile`'s register bank.
 
-    The bank is flattened pre-sorted in result order (exact-first, tightest
-    span first — see
-    :meth:`~repro.fields.port_registers.PortRegisterFile.result_ordered_registers`),
-    so each value's match tuple is just the matching subsequence; with NumPy
-    the low/high comparisons run as one ``values x registers`` matrix.
+    The bank is flattened into elementary intervals: the 16-bit domain split
+    at every register's ``low`` and ``high + 1``, so the set of registers
+    covering a value is the same across an interval.  One sweep over the
+    sorted boundaries keeps that set and ids each interval's match tuple —
+    the covering registers in result order (exact-first, tightest span
+    first; see
+    :meth:`~repro.fields.port_registers.PortRegisterFile.result_ordered_registers`).
+    A batch lookup is one bisection per value.
     """
+
+    _noun = "port value"
+    _width = PORT_MAX.bit_length()
+
+    def _make(self, key) -> FieldLookupResult:
+        return FieldLookupResult(
+            matches=key, memory_accesses=1, cycles=self.engine.lookup_cycles
+        )
 
     def _rebuild(self) -> None:
         bank: PortRegisterFile = self.engine
         ordered = bank.result_ordered_registers()
-        self._pairs = [(register.label, register.priority) for register in ordered]
-        self._lows = [register.low for register in ordered]
-        self._highs = [register.high for register in ordered]
-        if self.use_numpy:
-            self._np_lows = _np.asarray(self._lows, dtype=_np.int64)
-            self._np_highs = _np.asarray(self._highs, dtype=_np.int64)
+        starts: Dict[int, List[int]] = {}
+        ends: Dict[int, List[int]] = {}
+        for rank, register in enumerate(ordered):
+            starts.setdefault(register.low, []).append(rank)
+            if register.high < PORT_MAX:
+                ends.setdefault(register.high + 1, []).append(rank)
+        boundaries = sorted({0, *starts, *ends})
+        pairs = [(register.label, register.priority) for register in ordered]
+        covering = set()
+        ids = []
+        for boundary in boundaries:
+            covering.difference_update(ends.get(boundary, ()))
+            covering.update(starts.get(boundary, ()))
+            ids.append(self._intern(tuple(pairs[rank] for rank in sorted(covering))))
+        self._index(boundaries, ids)
 
-    def _check_range(self, values) -> None:
-        for value in values:
-            if not 0 <= value <= 0xFFFF:
-                raise FieldLookupError(f"port value {value} out of 16-bit range")
 
-    def _resolve(self, values: Sequence[int]) -> List[FieldLookupResult]:
-        self._check_range(values)
-        cycles = self.engine.lookup_cycles
-        pairs = self._pairs
-        if self.use_numpy and pairs:
-            keys = _np.asarray(values, dtype=_np.int64)[:, None]
-            mask = (self._np_lows[None, :] <= keys) & (keys <= self._np_highs[None, :])
-            return [
-                FieldLookupResult(
-                    matches=tuple(pairs[index] for index in row.nonzero()[0]),
-                    memory_accesses=1,
-                    cycles=cycles,
-                )
-                for row in mask
-            ]
-        lows = self._lows
-        highs = self._highs
-        register_range = range(len(pairs))
-        return [
-            FieldLookupResult(
-                matches=tuple(
-                    pairs[index]
-                    for index in register_range
-                    if lows[index] <= value <= highs[index]
-                ),
-                memory_accesses=1,
-                cycles=cycles,
-            )
-            for value in values
-        ]
+def _check_range(values: Sequence[int], width: int, noun: str = "lookup key") -> None:
+    limit = 1 << width
+    if min(values) < 0 or max(values) >= limit:
+        bad = next(value for value in values if not 0 <= value < limit)
+        raise FieldLookupError(f"{noun} {bad} out of {width}-bit range")
+
+
+def _search_depths(count: int) -> List[int]:
+    """Comparisons the scalar binary search makes, per interval position.
+
+    The search over ``count`` boundaries keeps a window ``[low, high]``; a
+    value in interval ``p`` moves right past every midpoint ``<= p`` and
+    left past every other, and the search stops at the empty window whose
+    ``high`` is ``p``.  Walking the decision tree once gives every
+    position's depth (``2 * count + 1`` windows in all).
+    """
+    depths = [0] * count
+    windows = [(0, count - 1, 0)]
+    while windows:
+        low, high, depth = windows.pop()
+        if low > high:
+            if high >= 0:
+                depths[high] = depth
+            continue
+        mid = (low + high) >> 1
+        windows.append((low, mid - 1, depth + 1))
+        windows.append((mid + 1, high, depth + 1))
+    return depths
 
 
 def _merge_matches(cumulative: tuple, pairs) -> tuple:

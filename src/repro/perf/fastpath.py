@@ -7,11 +7,13 @@ recomputes every engine walk, every combiner cross-product and every result
 record from scratch for each packet; the fast path memoizes four layers:
 
 1. **Field layer** — one cache per dimension mapping the packet's field value
-   to the integer id of the engine's (immutable)
-   :class:`~repro.fields.base.FieldLookupResult`.  Each dimension interns its
-   distinct results under ids drawn from one counter that never repeats, so
-   the thousands of field values sharing a label list share one result
-   object, and equal ids mean equal results.
+   to the result id its batch walker returned (see
+   :mod:`repro.fields.vectorized`).  The walker owns the dimension's intern
+   table, the software analogue of the label-list memory a field engine
+   points into: it ids each distinct (immutable)
+   :class:`~repro.fields.base.FieldLookupResult` once, under ids it never
+   reuses, so the thousands of field values sharing a label list share one
+   id, and equal ids mean equal results.
 2. **Combiner layer** — a cache keyed by the packed tuple of per-dimension
    label lists mapping to the (immutable)
    :class:`~repro.core.label_combiner.CombinerOutcome`.  Distinct field
@@ -23,7 +25,8 @@ record from scratch for each packet; the fast path memoizes four layers:
    finished record, so the assembly step (cycle report, access accounting,
    record construction) — the residue left after the field and combiner
    layers hit — runs once per distinct result tuple instead of once per
-   distinct header.  Only its misses fetch the interned results back.
+   distinct header.  Only its misses fetch the results back from the
+   walkers.
 4. **Header layer** — a cache keyed by the full 5-tuple header mapping to the
    finished :class:`~repro.core.result.Classification` (flow locality makes
    repeated headers common in practice).  It short-circuits every layer
@@ -33,21 +36,24 @@ record from scratch for each packet; the fast path memoizes four layers:
 Every layer is a bounded :class:`~repro.perf.lru.LRUCache`: an adversarial
 stream of never-repeating flows evicts instead of growing without bound, and
 the eviction counts are reported by :meth:`FastPathAccelerator.cache_stats`.
-A dimension's intern table is dropped together with its field cache (on an
-epoch move and on :meth:`~FastPathAccelerator.invalidate`); a batch that
-leaves it at the field-cache limit prunes the results no cached value names
-and keeps the live ones.  Ids are never reused, so a result key naming a
-dropped id can only miss.
+Each intern table's bound moves with it: an array walker's table is bounded
+by its view (a rebuild prunes it to the results the view's rows name once it
+holds more than twice as many), and a scalar walker's table, which grows
+with the results it looked up, is pruned to the ids its field cache still
+names by a batch that leaves it at the field-cache limit.  Ids are never
+reused, so a result key naming a dropped id can only miss.
 
 **One columnar pass per batch**, in both modes: probe the header layer once
 per packet and group the distinct misses; read the misses' seven dimension
 columns straight from the header fields; resolve each dimension's distinct
-uncached values in one call; then look the id tuples up in the result layer.
-The modes differ only in what resolves.  The plain mode calls the engine's
-``lookup`` per value and the combiner's ``combine``.  The vectorized mode
-(``vectorized=True``) resolves the values in one pass through the
-:mod:`repro.fields.vectorized` batch walkers (NumPy when available) and
-combiner misses through
+uncached values to result ids in one walker call; then look the id tuples up
+in the result layer.  The modes differ only in what resolves.  The plain
+mode's walkers call the engine's ``lookup`` per value
+(:class:`~repro.fields.vectorized.ScalarBatchWalker`), and combiner misses
+go to the combiner's ``combine``.  The vectorized mode (``vectorized=True``)
+resolves the values through the array batch walkers of
+:mod:`repro.fields.vectorized` (NumPy when available) and combiner misses
+through
 :meth:`~repro.core.label_combiner.LabelCombiner.combine_with_cache` — an
 exact cross-product walk that, with NumPy, resolves every combination's key
 in one array rule-filter lookup.  Without NumPy it pre-packs keys in blocks
@@ -94,7 +100,7 @@ from repro.core.dimensions import DIMENSIONS, packet_dimension_columns
 from repro.core.result import BatchResult, Classification
 from repro.core.invalidation import InvalidationScope, snapshot_marks
 from repro.core.label_combiner import SCAN_HOME
-from repro.fields.base import FieldLookupResult
+from repro.fields.vectorized import BatchWalker, ScalarBatchWalker, batch_walker
 from repro.perf.lru import BoundedCache, LRUCache
 from repro.rules.packet import PacketHeader
 
@@ -105,9 +111,10 @@ __all__ = ["FastPathAccelerator"]
 #: classifications is a few hundred MB at most and far beyond any realistic
 #: working set.
 DEFAULT_HEADER_CACHE_LIMIT = 1 << 20
-#: Per-dimension field-cache bound (and intern-table bound); a 16-bit
-#: dimension has at most 65536 distinct values, so this never evicts for the
-#: IP/port engines in practice while still bounding custom wider engines.
+#: Per-dimension field-cache bound (and the scalar walkers' intern-table
+#: bound); a 16-bit dimension has at most 65536 distinct values, so this never
+#: evicts for the IP/port engines in practice while still bounding custom
+#: wider engines.
 DEFAULT_FIELD_CACHE_LIMIT = 1 << 16
 #: Combiner-outcome cache bound (keys are label-list tuple combinations).
 DEFAULT_COMBINER_CACHE_LIMIT = 1 << 16
@@ -146,17 +153,12 @@ class FastPathAccelerator:
         self._field_caches: Dict[str, LRUCache] = {
             name: LRUCache(field_cache_limit) for name in DIMENSIONS
         }
-        # Per-dimension intern tables (result -> id and id -> result); the
-        # field caches map values to these ids.  One counter issues every id
-        # and is never rewound, so an id names one result for the
-        # accelerator's whole life.
-        self._field_ids: Dict[str, Dict[FieldLookupResult, int]] = {
-            name: {} for name in DIMENSIONS
+        # The field caches map values to the result ids of these walkers,
+        # which own the intern tables.
+        walker = batch_walker if vectorized else ScalarBatchWalker
+        self._walkers: Dict[str, BatchWalker] = {
+            name: walker(classifier.engines[name]) for name in DIMENSIONS
         }
-        self._field_results: Dict[str, Dict[int, FieldLookupResult]] = {
-            name: {} for name in DIMENSIONS
-        }
-        self._next_field_id = 0
         self._combiner_cache = LRUCache(combiner_cache_limit)
         self._result_cache = LRUCache(result_cache_limit)
         self._header_cache = LRUCache(header_cache_limit)
@@ -204,13 +206,6 @@ class FastPathAccelerator:
         self.combiner_misses = 0
         self.result_hits = 0
         self.result_misses = 0
-        self._walkers = {}
-        if vectorized:
-            from repro.fields.vectorized import batch_walker
-
-            self._walkers = {
-                name: batch_walker(classifier.engines[name]) for name in DIMENSIONS
-            }
         self._validate_epochs()
 
     # -- invalidation ---------------------------------------------------------
@@ -220,15 +215,15 @@ class FastPathAccelerator:
         Runs at the head of every batch: compares each engine's and the Rule
         Filter's :class:`~repro.observers.MutationEpoch` counter against the
         snapshot taken when the caches were last validated.  A moved engine
-        drops its dimension's field cache and intern table and every derived
-        layer; a moved Rule Filter drops the derived layers only.
+        drops its dimension's field cache and every derived layer; a moved
+        Rule Filter drops the derived layers only.
         """
         marks = snapshot_marks(self.classifier)
         if marks == self._marks:
             return
         for name in DIMENSIONS:
             if self._marks.get(name) != marks[name]:
-                self._drop_field_layer(name)
+                self._field_caches[name].clear()
         if self._marks:
             self.epoch_flushes += 1
         self._marks = marks
@@ -255,16 +250,10 @@ class FastPathAccelerator:
         self._results_by_combo.clear()
         self._dep_registrations = 0
 
-    def _drop_field_layer(self, name: str) -> None:
-        """Drop one dimension's field cache together with its intern table."""
-        self._field_caches[name].clear()
-        self._field_ids[name].clear()
-        self._field_results[name].clear()
-
     def invalidate(self) -> None:
         """Drop every cached lookup (all layers)."""
-        for name in DIMENSIONS:
-            self._drop_field_layer(name)
+        for cache in self._field_caches.values():
+            cache.clear()
         self._sort_memo.clear()
         self._marks = {}
         self._invalidate_outcomes()
@@ -411,26 +400,23 @@ class FastPathAccelerator:
             append(record)
         self.result_hits += hits
         self.result_misses += len(keys) - hits
-        # A full intern table is pruned only now: the records above fetched
-        # their field results through it.  Results outlive their values (a
-        # commit discards the values in its spans, the LRU evicts) so that a
-        # value re-resolving to an equal result gets its old id back and its
-        # result-cache entries still hit.  At the limit the results no cached
-        # value names go; the live ones keep their ids.
-        for name in DIMENSIONS:
-            by_id = self._field_results[name]
-            if len(by_id) >= self._field_caches[name].limit:
-                interned = self._field_ids[name]
-                for field_id in by_id.keys() - set(self._field_caches[name].data.values()):
-                    del interned[by_id.pop(field_id)]
+        # A full scalar intern table is pruned only now: the records above
+        # fetched their field results through it.  Results outlive their
+        # values (a commit discards the values in its spans, the LRU evicts)
+        # so that a value re-resolving to an equal result gets its old id
+        # back and its result-cache entries still hit.  At the limit the
+        # results no cached value names go; the live ones keep their ids.
+        for name, walker in self._walkers.items():
+            cache = self._field_caches[name]
+            if walker.interned >= cache.limit:
+                walker.prune(cache.data.values())
         return records
 
     def _field_id_column(self, name: str, column: List[int]) -> List[int]:
-        """Map one dimension's value column to interned field-result ids.
+        """Map one dimension's value column to the walker's result ids.
 
         Each distinct value the field cache does not hold is resolved once,
-        all of them in one call: the batch walker in vectorized mode, the
-        engine's ``lookup`` otherwise.
+        all of them in one walker call.
         """
         cache = self._field_caches[name]
         data = cache.data
@@ -446,21 +432,9 @@ class FastPathAccelerator:
                 touch(value)
                 ids[value] = field_id
         if missing:
-            if self.vectorized:
-                resolved = self._walkers[name].resolve(missing)
-            else:
-                lookup = self.classifier.engines[name].lookup
-                resolved = [lookup(value) for value in missing]
-            interned = self._field_ids[name]
-            by_id = self._field_results[name]
-            for value, result in zip(missing, resolved):
-                field_id = interned.get(result)
-                if field_id is None:
-                    field_id = interned[result] = self._next_field_id
-                    by_id[field_id] = result
-                    self._next_field_id += 1
-                ids[value] = field_id
-            cache.put_many((value, ids[value]) for value in missing)
+            resolved = dict(zip(missing, self._walkers[name].resolve(missing)))
+            ids.update(resolved)
+            cache.put_many(resolved.items())
             self.field_misses += len(missing)
         self.field_hits += len(column) - len(missing)
         return list(map(ids.__getitem__, column))
@@ -468,8 +442,9 @@ class FastPathAccelerator:
     def _assemble(self, result_key: Tuple[int, ...]) -> Classification:
         """Finish a result-layer miss through the combiner cache."""
         classifier = self.classifier
+        walkers = self._walkers
         field_results = {
-            name: self._field_results[name][field_id]
+            name: walkers[name].result(field_id)
             for name, field_id in zip(DIMENSIONS, result_key)
         }
         track = not self._deps_overflow
@@ -544,7 +519,7 @@ class FastPathAccelerator:
             "field_evictions": sum(
                 cache.evictions for cache in self._field_caches.values()
             ),
-            "field_results": sum(len(table) for table in self._field_ids.values()),
+            "field_results": sum(walker.interned for walker in self._walkers.values()),
             "combiner_entries": len(self._combiner_cache),
             "combiner_hits": self.combiner_hits,
             "combiner_misses": self.combiner_misses,

@@ -286,11 +286,13 @@ class FlowCache:
         results: List[Optional[Classification]] = []
         append = results.append
         # Flows first seen (or re-installed after expiry) in this batch:
-        # key -> [installed, last_hit, hits, budget], resolved once through
-        # the backend and installed with their accumulated in-batch history.
+        # key -> [installed, last_hit, hits, budget, position in order],
+        # resolved once through the backend and installed with their
+        # accumulated in-batch history.
         pending: Dict[bytes, list] = {}
-        order: List[Tuple[bytes, PacketHeader]] = []
-        fixups: List[Tuple[int, bytes]] = []
+        order: List[Tuple[bytes, PacketHeader, list]] = []
+        # (packet index, position of its flow in order) per missed packet.
+        fixups: List[Tuple[int, int]] = []
         for index, packet in enumerate(packets):
             now += 1
             key = pack(
@@ -341,23 +343,20 @@ class FlowCache:
                     meta[2] = 0
                     meta[3] = idle
             else:
-                pending[key] = [now, now, 0, idle]
-                order.append((key, packet))
+                meta = pending[key] = [now, now, 0, idle, len(order)]
+                order.append((key, packet, meta))
                 misses += 1
             append(None)
-            fixups.append((index, key))
+            fixups.append((index, meta[4]))
         self.now = now
         self.lookups += len(packets)
         self.hits += hits
         self.misses += misses
         if order:
-            resolved = backend([packet for _, packet in order])
-            records = {key: record for (key, _), record in zip(order, resolved)}
-            for index, key in fixups:
-                results[index] = records[key]
-            for key, packet in order:
-                meta = pending[key]
-                self._install(key, packet, records[key], meta)
+            records = list(backend([packet for _, packet, _ in order]))
+            for index, position in fixups:
+                results[index] = records[position]
+            self._install_batch(order, records)
         return BatchResult(tuple(results))
 
     def prewarm(
@@ -392,10 +391,32 @@ class FlowCache:
         return len(fresh)
 
     # -- installation & eviction ----------------------------------------------
+    def _install_batch(self, order: list, records: List[Classification]) -> None:
+        """Install a batch's resolved misses (``(key, packet, meta)`` each).
+
+        None of the keys is resident.  When all of them fit, they go in with
+        one loop; otherwise each goes through :meth:`_install`, so evictions
+        interleave with the installs exactly as one install per flow would.
+        """
+        entries = self._entries
+        if len(entries) + len(order) > self.capacity:
+            for (key, packet, meta), record in zip(order, records):
+                self._install(key, packet, record, meta)
+            return
+        by_rule = self._by_rule
+        for (key, packet, meta), record in zip(order, records):
+            entries[key] = [record, packet, meta[0], meta[1], meta[2], meta[3]]
+            keys = by_rule.get(record.rule_id)
+            if keys is None:
+                by_rule[record.rule_id] = {key}
+            else:
+                keys.add(key)
+        self.insertions += len(order)
+
     def _install(
         self, key: bytes, packet: PacketHeader, record: Classification, meta: list
     ) -> None:
-        """Install one resolved flow; ``meta`` is [installed, last_hit, hits, budget]."""
+        """Install one resolved flow; ``meta`` starts [installed, last_hit, hits, budget]."""
         entries = self._entries
         entry = entries.get(key)
         if entry is not None:

@@ -1,12 +1,15 @@
 """Tests for the vectorized batch engine walks and their support layers.
 
 The acceptance property is *bit-exact equivalence*: for every engine and
-every input value, ``batch_walker(engine).resolve(values)`` must equal
-``[engine.lookup(v) for v in values]`` — matches, ordering, access counts
-and cycles — in both the NumPy and the pure-Python implementations.  Also
-covers walker invalidation on engine mutation, the trie walker's in-place
-patch on commit spans, the batched hash/rule-filter primitives, the array
-combiner walk against the sequential one, and the bounded cache types.
+every input value, the results the ids of ``batch_walker(engine).resolve``
+name (``walker.result(id)``) must equal ``[engine.lookup(v) for v in
+values]`` — matches, ordering, access counts and cycles — in both the NumPy
+and the pure-Python implementations, on either side of the NumPy size
+switch.  Within a walker, equal ids must mean equal results and the other
+way round.  Also covers walker invalidation on engine mutation, the trie
+walker's in-place patch on commit spans (ids of values outside the spans
+survive it), the batched hash/rule-filter primitives, the array combiner walk
+against the sequential one, and the bounded cache types.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.fields import vectorized
 from repro.fields.prefix import Prefix
 from repro.fields.vectorized import (
     HAVE_NUMPY,
+    NUMPY_MIN_VALUES,
     BstBatchWalker,
     PortBatchWalker,
     ScalarBatchWalker,
@@ -52,6 +56,15 @@ def _sample_values(engine_name: str, rng: random.Random, count: int = 400):
     return [rng.randint(0, top) for _ in range(count)]
 
 
+def _results(walker, values):
+    """The results the walker's ids for ``values`` name."""
+    return [walker.result(result_id) for result_id in walker.resolve(values)]
+
+
+#: Batch sizes on either side of the NumPy size switch.
+SWITCH_SIZES = (1, NUMPY_MIN_VALUES - 1, NUMPY_MIN_VALUES)
+
+
 @pytest.fixture(scope="module", params=["mbt", "bst"])
 def built_classifier(request, small_acl_ruleset):
     return create_classifier(
@@ -59,15 +72,33 @@ def built_classifier(request, small_acl_ruleset):
     )
 
 
+@pytest.fixture(scope="module")
+def domain_lookups(built_classifier):
+    """``engine.lookup`` of every value of every dimension's domain."""
+    return {
+        name: [engine.lookup(value) for value in range(0x100 if name == "protocol" else 1 << 16)]
+        for name, engine in built_classifier.engines.items()
+    }
+
+
 class TestWalkerEquivalence:
     @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
-    def test_every_dimension_bit_exact(self, built_classifier, use_numpy):
+    def test_every_dimension_bit_exact(self, built_classifier, domain_lookups, use_numpy):
+        """Batches of 1, the switch size - 1, the switch size and the whole domain."""
         rng = random.Random(2014)
         for name in DIMENSIONS:
             engine = built_classifier.engines[name]
             walker = batch_walker(engine, use_numpy=use_numpy)
-            values = _sample_values(name, rng)
-            assert walker.resolve(values) == [engine.lookup(v) for v in values]
+            expected = domain_lookups[name]
+            for size in SWITCH_SIZES:
+                values = rng.sample(range(len(expected)), size)
+                assert _results(walker, values) == [expected[value] for value in values]
+            domain = list(range(len(expected)))
+            ids = walker.resolve(domain)
+            assert [walker.result(result_id) for result_id in ids] == expected
+            # Equal ids <=> equal results: the id -> result pairs are a bijection.
+            pairs = set(zip(ids, expected))
+            assert len(pairs) == len(set(ids)) == len(set(expected))
             walker.detach()
 
     @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
@@ -96,7 +127,7 @@ class TestWalkerEquivalence:
         walker = batch_walker(engine, use_numpy=use_numpy)
         rng = random.Random(7)
         values = _sample_values("dst_ip_lo", rng)
-        assert walker.resolve(values) == [engine.lookup(v) for v in values]
+        assert _results(walker, values) == [engine.lookup(v) for v in values]
         # Mutate the engine through the real update path and re-check: the
         # walker must rebuild its flattened view, not replay the stale one.
         import dataclasses
@@ -113,20 +144,24 @@ class TestWalkerEquivalence:
             if installed >= 20:
                 break
         assert installed > 0
-        assert walker.resolve(values) == [engine.lookup(v) for v in values]
+        assert _results(walker, values) == [engine.lookup(v) for v in values]
         # Exactly two flat-view builds: the initial one and the post-mutation
         # rebuild — resolving again on an unchanged engine stays at two.
         assert walker.rebuilds == 2
-        assert walker.resolve(values) == [engine.lookup(v) for v in values]
+        assert _results(walker, values) == [engine.lookup(v) for v in values]
         assert walker.rebuilds == 2
         walker.detach()
 
     @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
     def test_out_of_range_value_rejected(self, built_classifier, use_numpy):
-        for name, bad in (("src_ip_lo", 1 << 16), ("src_port", -1)):
+        """Both sides of the size switch reject a value outside the domain."""
+        for name, bad in (
+            ("src_ip_lo", 1 << 16), ("src_ip_hi", -1), ("src_port", -1), ("dst_port", 1 << 16)
+        ):
             walker = batch_walker(built_classifier.engines[name], use_numpy=use_numpy)
-            with pytest.raises(FieldLookupError):
-                walker.resolve([0, bad])
+            for size in SWITCH_SIZES:
+                with pytest.raises(FieldLookupError):
+                    walker.resolve([0] * (size - 1) + [bad])
             walker.detach()
 
     def test_empty_batch(self, built_classifier):
@@ -171,9 +206,9 @@ def _patching_classifier(ruleset, use_numpy, monkeypatch):
 
 def _assert_domain_exact(walker, engine_too=True):
     """The walker resolves every segment value as a fresh walker (and the engine) do."""
-    resolved = walker.resolve(SEGMENT_DOMAIN)
+    resolved = _results(walker, SEGMENT_DOMAIN)
     fresh = batch_walker(walker.engine, use_numpy=walker.use_numpy)
-    assert resolved == fresh.resolve(SEGMENT_DOMAIN)
+    assert resolved == _results(fresh, SEGMENT_DOMAIN)
     if engine_too:
         lookup = walker.engine.lookup
         assert resolved == [lookup(value) for value in SEGMENT_DOMAIN]
@@ -197,12 +232,23 @@ class TestWalkerPatch:
         Commits run until each kind has moved a trie engine.  Every
         walker whose engine moved must resolve the whole 16-bit domain
         exactly as a freshly built walker and as ``engine.lookup`` do (~1 s
-        per walker); the others kept their view and their engine.
+        per walker), and give every value outside the commit's spans the id
+        it had before; the others kept their view and their engine.
         """
         classifier, walkers = _patching_classifier(small_acl_ruleset, use_numpy, monkeypatch)
+        accelerator = classifier._fast_path
+        scopes = []
+        note_commit = accelerator.note_commit
+
+        def recording_note_commit(scope):
+            scopes.append(scope)
+            note_commit(scope)
+
+        monkeypatch.setattr(accelerator, "note_commit", recording_note_commit)
         rng = random.Random(DIFFERENTIAL_SEED)
         installed = dict(classifier.update_engine.rules)
         checked = dict.fromkeys(self.KINDS, 0)
+        kept_ids = 0
         for step in range(90):
             if min(checked.values()):
                 break
@@ -225,15 +271,28 @@ class TestWalkerPatch:
                 txn.insert(rule)
                 installed[rule.rule_id] = rule
             epochs = {name: walker.engine.mutation_epoch for name, walker in walkers.items()}
+            before = {name: walker.resolve(SEGMENT_DOMAIN) for name, walker in walkers.items()}
             txn.commit()
             moved = [
-                walker for name, walker in walkers.items()
+                name for name, walker in walkers.items()
                 if walker.engine.mutation_epoch != epochs[name]
             ]
             checked[kind] += bool(moved)
-            for walker in moved:
+            for name in moved:
+                walker = walkers[name]
                 _assert_domain_exact(walker)
+                if scopes[-1].wholesale:
+                    continue  # no spans to keep ids outside of
+                spans = scopes[-1].field_spans.get(name, ())
+                after = walker.resolve(SEGMENT_DOMAIN)
+                kept = [
+                    value for value in SEGMENT_DOMAIN
+                    if not any(low <= value <= high for low, high in spans)
+                ]
+                assert [after[value] for value in kept] == [before[name][value] for value in kept]
+                kept_ids += len(kept)
         assert min(checked.values()), checked
+        assert kept_ids  # some commit left part of a moved walker's domain alone
         assert sum(walker.patches for walker in walkers.values()) > 0
 
     def _fallback(self, classifier, walkers, setup):
@@ -310,8 +369,8 @@ class TestWalkerPatch:
             txn.commit()
             for walker in walkers.values():
                 values = [rng.randrange(1 << 16) for _ in range(8)]
-                assert walker.resolve(values) == [walker.engine.lookup(v) for v in values]
-                flat = sum(map(len, walker._matches))
+                assert _results(walker, values) == [walker.engine.lookup(v) for v in values]
+                flat = sum(map(len, walker._node_ids))
                 assert flat <= 2 * walker.engine.node_count()
                 peak = max(peak, flat / walker.engine.node_count())
         assert sum(walker.patches for walker in walkers.values()) > 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import chain
 
 import pytest
 
@@ -21,6 +22,9 @@ from repro.core.classifier import ConfigurableClassifier
 from repro.core.config import ClassifierConfig, CombinerMode, IpAlgorithm
 from repro.core.dimensions import DIMENSIONS, packet_dimension_values
 from repro.exceptions import ConfigurationError
+from repro.fields.prefix import Prefix
+from repro.fields.range_utils import PortRange
+from repro.fields.vectorized import ScalarBatchWalker, TrieBatchWalker
 from repro.hardware.rule_filter import RuleFilterMemory
 from repro.perf import FastPathAccelerator, ParallelSession, ReplicaSpec
 from repro.rules.classbench import ClassBenchGenerator, FilterFlavor
@@ -323,6 +327,13 @@ class TestVectorizedMode:
         assert batch.packets == len(small_trace)
 
 
+def _row_ids(walker):
+    """The result ids an array walker's flat rows name (orphaned trie rows too)."""
+    if isinstance(walker, TrieBatchWalker):
+        return set(chain.from_iterable(walker._node_ids))
+    return set(walker._interval_ids)
+
+
 def _unique_flow(index: int) -> "PacketHeader":
     """An adversarial flow: every dimension value changes every packet."""
     from repro.rules.packet import PacketHeader
@@ -438,53 +449,77 @@ class TestAdversarialStream:
     def test_intern_tables_stay_within_field_limit(
         self, small_acl_ruleset, adversarial_stream, vectorized
     ):
-        """Intern tables stay bounded over 200 single-op commits; ids never repeat.
+        """The walkers' intern tables stay bounded over 200 single-op commits.
 
-        A table reaching the field-cache limit is pruned to the results its
-        cached values name, so the live entries survive; the ids issued
-        after a prune or a drop are larger than every id issued before, so a
-        result key naming a forgotten id can only miss.
+        The commits insert a fresh copy of one rule (new dst port range and
+        dst prefix, so new field results) and remove it again.  A scalar
+        walker's table (every dimension in plain mode, the protocol LUT in
+        vectorized mode) reaching the field-cache limit is pruned to the
+        results its cached values name, so the live entries survive.  An
+        array walker's table holds every result its flat rows name and at
+        most as many retired ones: a rebuild prunes it to the named results
+        once it holds more than twice as many.  Every id the field cache
+        holds resolves through ``result()`` to the engine's answer, and the
+        ids issued after a prune are larger than every id issued before, so
+        a result key naming a forgotten id can only miss.
         """
         limit = 12
         classifier = ConfigurableClassifier.from_ruleset(small_acl_ruleset)
         # A header bound whose dependency budget the run never exhausts, so
-        # the commits stay scoped and the tables persist across batches.
+        # the commits stay scoped and the field caches persist across batches.
         limits = dict(self.LIMITS, field_cache_limit=limit, header_cache_limit=8192)
         accelerator = FastPathAccelerator(classifier, vectorized=vectorized, **limits)
         classifier._fast_path = accelerator  # control-plane commits reach it
         batches = [adversarial_stream[start:start + 8] for start in range(0, 1600, 8)]
-        victim = small_acl_ruleset.rules()[0]
+        template = small_acl_ruleset.rules()[0]
+        rng = random.Random(21)
         issued = {name: -1 for name in DIMENSIONS}  # largest id seen so far
         held = {name: set() for name in DIMENSIONS}
-        prunes = 0
+        prunes = {"scalar": 0, "array": 0}
         for index, batch in enumerate(batches):
             txn = classifier.control.begin()
             if index % 2:
-                txn.insert(victim)
+                txn.remove(60_000 + index - 1)
             else:
-                txn.remove(victim.rule_id)
+                low = rng.randrange(0xFF00)
+                txn.insert(dataclasses.replace(
+                    template,
+                    rule_id=60_000 + index,
+                    dst_port=PortRange(low, low + rng.randrange(0x100)),
+                    dst_prefix=Prefix(rng.getrandbits(32), rng.randint(8, 32)),
+                ))
             txn.commit()
-            flushes = accelerator.epoch_flushes
             fast = accelerator.classify_batch(batch)
             assert list(fast.results) == [classifier.classify(packet) for packet in batch]
             stats = accelerator.cache_stats()
             assert stats["field_hits"] + stats["field_misses"] == 7 * stats["header_misses"]
             for name in DIMENSIONS:
-                ids = set(accelerator._field_ids[name].values())
-                assert set(accelerator._field_results[name]) == ids
-                assert len(ids) <= limit
+                walker = accelerator._walkers[name]
+                ids = set(walker._results)
+                assert set(walker._ids.values()) == ids
+                scalar = isinstance(walker, ScalarBatchWalker)
+                if scalar:
+                    assert len(ids) <= limit
+                else:
+                    named = _row_ids(walker)
+                    assert named <= ids
+                    assert len(ids) <= 2 * len(named)
                 cache = accelerator._field_caches[name].data
-                assert set(cache.values()) <= ids
+                lookup = classifier.engines[name].lookup
+                for value, field_id in cache.items():
+                    assert walker.result(field_id) == lookup(value)
                 # The batch's own values stay cached: a prune is no miss storm.
                 assert {packet_dimension_values(packet)[name] for packet in batch} <= set(cache)
                 assert all(field_id > issued[name] for field_id in ids - held[name])
-                # Without an epoch flush, only a limit prune forgets an id.
-                prunes += accelerator.epoch_flushes == flushes and not ids >= held[name]
+                prunes["scalar" if scalar else "array"] += not ids >= held[name]
                 issued[name] = max(ids | {issued[name]})
                 held[name] = ids
         assert len(batches) == 200
         assert accelerator.cache_stats()["scoped_commits"] > 150
-        assert prunes > 0  # the tables really reached the limit
+        # Plain mode: the scalar tables really reached the limit.  Vectorized
+        # mode: the array walkers' rebuilds really dropped retired results
+        # (the protocol LUT has fewer distinct results than the limit).
+        assert prunes["array" if vectorized else "scalar"] > 0
 
     def test_unbounded_defaults_would_have_grown(self, small_acl_ruleset):
         """Sanity check: the stream really is adversarial (all values unique)."""
@@ -540,7 +575,9 @@ class TestAcceleratorInternals:
         """One field hit or miss per dimension per header miss, in both modes.
 
         A header repeated within its batch is one miss and then a hit, and
-        ``field_results`` counts the distinct results the values resolved to.
+        ``field_results`` counts the walkers' interned results: the distinct
+        results the values resolved to for a scalar walker, the distinct
+        results of the flat rows for an array walker.
         """
         classifier = create_classifier(
             "configurable", small_acl_ruleset, fast=True, vectorized=vectorized
@@ -558,10 +595,14 @@ class TestAcceleratorInternals:
             for name in DIMENSIONS
         }
         assert stats["field_misses"] == sum(map(len, values.values()))
-        assert stats["field_results"] == sum(
-            len({classifier.engines[name].lookup(value) for value in distinct})
-            for name, distinct in values.items()
-        )
+        interned = 0
+        for name, distinct in values.items():
+            walker = accelerator._walkers[name]
+            if isinstance(walker, ScalarBatchWalker):
+                interned += len({classifier.engines[name].lookup(value) for value in distinct})
+            else:
+                interned += len({walker.result(field_id) for field_id in _row_ids(walker)})
+        assert stats["field_results"] == interned
 
 
 class TestParallelSession:

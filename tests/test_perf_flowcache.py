@@ -3,9 +3,10 @@
 Covers the timeout policies (idle / hard / hybrid) on the packets-observed
 virtual clock, capacity-pressure eviction with and without predictors,
 surgical invalidation by control-plane commits, the wholesale epoch flush on
-untracked mutations, prewarming, the flow-churn trace generator, and the
-flow counters read from their owner (FlowCache.stats /
-ParallelSession.flow_cache_stats) beside the cache_stats ratios.
+untracked mutations, the rule -> keys index behind it, prewarming, the
+flow-churn trace generator, and the flow counters read from their owner
+(FlowCache.stats / ParallelSession.flow_cache_stats) beside the cache_stats
+ratios.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from repro.core.classifier import ConfigurableClassifier
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.perf.flowcache import (
     _PACKET,
+    _RECORD,
     DEFAULT_FLOW_CAPACITY,
+    FLOW_POLICIES,
     FlowCache,
     FrequencyPredictor,
     RecencyPredictor,
@@ -459,6 +462,86 @@ class TestInsertScan:
             key for key, entry in cache._entries.items() if rule.matches(entry[_PACKET])
         ]
         assert cache._matching_keys(rule) == expected
+
+
+class TestByRuleIndex:
+    """``_by_rule`` stays exactly the rule -> resident keys index of ``_entries``."""
+
+    @staticmethod
+    def _check(cache):
+        rebuilt = {}
+        for key, entry in cache._entries.items():
+            rebuilt.setdefault(entry[_RECORD].rule_id, set()).add(key)
+        assert cache._by_rule == rebuilt
+        assert sum(map(len, cache._by_rule.values())) == len(cache)
+
+    @pytest.mark.parametrize("policy", FLOW_POLICIES)
+    @pytest.mark.parametrize("stream", ["unique", "zipf"])
+    def test_index_follows_every_change(self, small_acl_ruleset, policy, stream, monkeypatch):
+        """Checked after every serve, ``expire()``, commit and ``invalidate()``.
+
+        A capacity of 48 evicts on both streams, and the zipf stream's flows
+        also time out; batch sizes of 8, 64 and 24 send misses through both
+        install routes (one loop when the batch fits, one ``_install`` per
+        flow when it evicts).  The commits remove and re-insert the rule
+        deciding the most resident flows.
+        """
+        if stream == "unique":
+            trace = list(dict.fromkeys(
+                generate_trace(small_acl_ruleset, count=2400, seed=17, locality=0.0)
+            ))
+        else:
+            trace = generate_flow_churn_trace(
+                small_acl_ruleset, count=2400, seed=17, flows=400, churn=0.05
+            )
+        classifier = _flow_classifier(
+            small_acl_ruleset, capacity=48, policy=policy, idle_timeout=128, hard_timeout=192
+        )
+        cache = classifier.flow_cache
+        installs = []
+        install = FlowCache._install
+
+        def counting_install(self, *args):
+            installs.append(args[0])
+            install(self, *args)
+
+        monkeypatch.setattr(FlowCache, "_install", counting_install)
+        removed = None
+        start = 0
+        for step, size in enumerate([8, 64, 24] * 100):
+            batch = trace[start:start + size]
+            if not batch:
+                break
+            start += size
+            classifier.classify_batch(batch)
+            self._check(cache)
+            if step % 3 == 1:
+                cache.expire()
+                self._check(cache)
+            if step % 4 == 2:
+                txn = classifier.control.begin()
+                if removed is None:
+                    decided = [rule for rule in cache._by_rule if rule is not None]
+                    if not decided:
+                        continue
+                    victim = max(decided, key=lambda rule: (len(cache._by_rule[rule]), rule))
+                    removed = classifier.update_engine.rules[victim]
+                    txn.remove(victim)
+                else:
+                    txn.insert(removed)
+                    removed = None
+                txn.commit()
+                self._check(cache)
+            if step % 10 == 9:
+                cache.invalidate()
+                self._check(cache)
+        stats = cache.stats()
+        assert stats["capacity_evictions"] > 0
+        if stream == "zipf":  # never-repeating flows are evicted before they idle out
+            assert stats["timeout_evictions"] > 0
+        assert stats["surgical_drops"] > 0
+        # Both install routes ran.
+        assert 0 < len(installs) < stats["insertions"]
 
 
 # ---------------------------------------------------------------------------
