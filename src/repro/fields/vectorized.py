@@ -419,6 +419,8 @@ class TrieBatchWalker(BatchWalker):
         for (_, stride, shift, mask, _), table, level_ids in zip(
             self._steps, self._np_tables, self._np_ids[1:]
         ):
+            if not level_ids.size:
+                break  # no node this deep (every row has a parent): all lanes are dead
             row = table[(row << stride) + ((keys >> shift) & mask)]
             found = _np.where(row >= 0, level_ids[row], found)
         return found.tolist()

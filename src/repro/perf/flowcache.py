@@ -356,7 +356,7 @@ class FlowCache:
             records = list(backend([packet for _, packet, _ in order]))
             for index, position in fixups:
                 results[index] = records[position]
-            self._install_batch(order, records)
+            self._install(order, records)
         return BatchResult(tuple(results))
 
     def prewarm(
@@ -384,51 +384,41 @@ class FlowCache:
                 fresh[key] = packet
         if not fresh:
             return 0
-        resolved = backend(list(fresh.values()))
         tick = self.now
-        for (key, packet), record in zip(fresh.items(), resolved):
-            self._install(key, packet, record, [tick, tick, 0, self.idle_timeout])
+        idle = self.idle_timeout
+        flows = [(key, packet, [tick, tick, 0, idle]) for key, packet in fresh.items()]
+        self._install(flows, backend(list(fresh.values())))
         return len(fresh)
 
     # -- installation & eviction ----------------------------------------------
-    def _install_batch(self, order: list, records: List[Classification]) -> None:
-        """Install a batch's resolved misses (``(key, packet, meta)`` each).
+    def _install(self, flows: list, records: Sequence[Classification]) -> None:
+        """Install resolved flows: ``(key, packet, meta)`` each, in resolve order.
 
-        None of the keys is resident.  When all of them fit, they go in with
-        one loop; otherwise each goes through :meth:`_install`, so evictions
-        interleave with the installs exactly as one install per flow would.
+        ``meta`` starts ``[installed, last_hit, hits, budget]``.  A full cache
+        frees one slot per new flow, so evictions interleave with the
+        installs exactly as they would one flow at a time.
         """
         entries = self._entries
-        if len(entries) + len(order) > self.capacity:
-            for (key, packet, meta), record in zip(order, records):
-                self._install(key, packet, record, meta)
-            return
         by_rule = self._by_rule
-        for (key, packet, meta), record in zip(order, records):
+        capacity = self.capacity
+        installed = 0
+        for (key, packet, meta), record in zip(flows, records):
+            entry = entries.get(key)
+            if entry is not None:
+                # Already resident (e.g. prewarm raced a serving batch): refresh.
+                entry[_RECORD] = record
+                entry[_LAST_HIT] = meta[1]
+                continue
+            if len(entries) >= capacity:
+                self._evict_for_capacity()
             entries[key] = [record, packet, meta[0], meta[1], meta[2], meta[3]]
             keys = by_rule.get(record.rule_id)
             if keys is None:
                 by_rule[record.rule_id] = {key}
             else:
                 keys.add(key)
-        self.insertions += len(order)
-
-    def _install(
-        self, key: bytes, packet: PacketHeader, record: Classification, meta: list
-    ) -> None:
-        """Install one resolved flow; ``meta`` starts [installed, last_hit, hits, budget]."""
-        entries = self._entries
-        entry = entries.get(key)
-        if entry is not None:
-            # Already resident (e.g. prewarm raced a serving batch): refresh.
-            entry[_RECORD] = record
-            entry[_LAST_HIT] = meta[1]
-            return
-        if len(entries) >= self.capacity:
-            self._evict_for_capacity()
-        entries[key] = [record, packet, meta[0], meta[1], meta[2], meta[3]]
-        self._by_rule.setdefault(record.rule_id, set()).add(key)
-        self.insertions += 1
+            installed += 1
+        self.insertions += installed
 
     def _drop(self, key: bytes, entry: list) -> None:
         del self._entries[key]

@@ -44,6 +44,7 @@ from repro.hardware.rule_filter import RuleFilterMemory
 from repro.labels.label_list import LabelList
 from repro.perf.lru import BoundedCache, LRUCache
 from repro.rules.rule import Rule, RuleAction
+from repro.rules.ruleset import RuleSet
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -168,6 +169,41 @@ class TestWalkerEquivalence:
         walker = batch_walker(built_classifier.engines["src_ip_hi"])
         assert walker.resolve([]) == []
         walker.detach()
+
+    #: Rule sets whose tries have empty levels: root-only tries (no rules, or
+    #: every source a wildcard) and no node below level 2 (5-5-6 strides, every
+    #: prefix /24 or shorter, so the low segments end by bit 8).
+    SHALLOW_RULES = {
+        "no_rules": lambda: [],
+        "wildcard_sources": lambda: [
+            Rule.build(i, i, src="0.0.0.0/0", dst=f"10.{i}.3.{i}/32", action=RuleAction.DROP)
+            for i in range(20)
+        ],
+        "prefixes_to_24": lambda: [
+            Rule.build(i, i, src=f"10.{i}.3.0/24", dst=f"11.{i}.0.0/16", action=RuleAction.DROP)
+            for i in range(20)
+        ],
+    }
+
+    @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
+    @pytest.mark.parametrize("shape", sorted(SHALLOW_RULES))
+    def test_tries_with_empty_levels_bit_exact(self, shape, use_numpy):
+        """Every batch size, down to a trie level holding no node."""
+        classifier = create_classifier("configurable", RuleSet(self.SHALLOW_RULES[shape]()))
+        rng = random.Random(2014)
+        domain = list(range(1 << 16))
+        empty_levels = 0
+        for name in ("src_ip_hi", "src_ip_lo", "dst_ip_hi", "dst_ip_lo"):
+            engine = classifier.engines[name]
+            walker = batch_walker(engine, use_numpy=use_numpy)
+            expected = [engine.lookup(value) for value in domain]
+            for size in SWITCH_SIZES:
+                values = rng.sample(domain, size)
+                assert _results(walker, values) == [expected[value] for value in values]
+            assert _results(walker, domain) == expected
+            empty_levels += sum(not ids for ids in walker._node_ids)
+            walker.detach()
+        assert empty_levels > 0
 
 
 @settings(max_examples=200, deadline=None)
