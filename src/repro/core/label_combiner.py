@@ -20,14 +20,21 @@ found stays small for realistic rule sets; a ``probe_budget`` caps the walk on
 pathological cross products.  A walk that exhausts it with candidates left
 finishes with one read of every Rule Filter slot, so the result stays exact
 and only its cost changes.
+
+:meth:`LabelCombiner.combine_with_cache` resolves a whole batch of packets'
+lists in one call, as the pipelined combination stage of the paper's Fig. 3
+takes consecutive packets back to back, with exactly the outcome
+:meth:`~LabelCombiner.combine` returns for each.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import CombinerMode
 from repro.exceptions import ConfigurationError
@@ -39,7 +46,7 @@ try:  # NumPy runs the cached cross-product walk on arrays; optional.
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
-__all__ = ["CombinerOutcome", "LabelCombiner", "DIMENSIONS", "SCAN_HOME"]
+__all__ = ["CombinedBatch", "CombinerOutcome", "LabelCombiner", "DIMENSIONS", "SCAN_HOME"]
 
 #: The seven lookup dimensions in packing order.
 DIMENSIONS: Tuple[str, ...] = (
@@ -70,6 +77,15 @@ class CombinerOutcome:
     #: scan of the whole Rule Filter (still the exact HPMR), whose reads are
     #: added to ``memory_accesses`` and ``cycles``.
     truncated: bool = False
+
+
+class CombinedBatch(NamedTuple):
+    """Result of one :meth:`LabelCombiner.combine_with_cache` call."""
+
+    #: One outcome per item of the batch, in batch order.
+    outcomes: List[CombinerOutcome]
+    #: The outcomes' probes added up: the combining work of the whole batch.
+    probes: int
 
 
 class LabelCombiner:
@@ -125,72 +141,114 @@ class LabelCombiner:
         return self._combine_cross_product(lists, probe_log)
 
     def combine_with_cache(
-        self, lists, probe_cache, sort_memo, probe_log: Optional[list] = None
-    ) -> CombinerOutcome:
-        """Exact :meth:`combine` over DIMENSIONS-ordered lists through shared caches.
+        self, batch, probe_cache, sort_memo, probe_logs: Optional[list] = None
+    ) -> CombinedBatch:
+        """Exact :meth:`combine` of every item of ``batch``, through shared caches.
 
-        The cold-path entry point of the :mod:`repro.perf` vectorized batch
-        engine.  ``lists`` is the tuple of per-dimension ``(label, priority)``
-        match tuples in :data:`DIMENSIONS` order (exactly the
-        ``FieldLookupResult.matches`` the engines produced); ``probe_cache``
-        memoizes the ``(entry, probes, home)`` triple of a rule-filter lookup
-        per packed key and ``sort_memo`` memoizes the priority-sorted form of
-        each match list (both are :class:`~repro.perf.lru.BoundedCache`-style
-        objects: an exposed ``data`` dict for reads plus an eviction-enforcing
-        ``put``).
+        The cold-path entry point of the :mod:`repro.perf` vectorized fast
+        path, called once per classified batch with all of its combiner
+        misses.  Each item is the tuple of per-dimension ``(label,
+        priority)`` match tuples in :data:`DIMENSIONS` order;
+        ``probe_cache`` memoizes the ``(entry, probes, home)`` triple of a
+        rule-filter lookup per packed key and ``sort_memo`` the staging
+        record of each match list (both
+        :class:`~repro.perf.lru.BoundedCache`-style: a ``data`` dict for
+        reads plus an evicting ``put``).  ``probe_logs``, when given, holds
+        one list per item, filled as :meth:`combine` fills ``probe_log``.
 
-        The returned :class:`CombinerOutcome` — entry, probe count, memory
-        accesses, cycles, truncation — and the probe log are bit-identical to
-        what :meth:`combine` returns for the same lists: the walk probes the
-        same combinations in the same order with the same priority-bound
-        pruning and probe budget; only the per-probe work is restructured.
-        With NumPy, the cross-product walk stages every combination's key and
-        resolves all of them, pruned ones included, through
-        :meth:`~repro.hardware.rule_filter.RuleFilterMemory.lookup_batch`,
-        which counts every staged key's reads; it leaves the probe cache
-        alone.  Without NumPy (and for keys wider than 128 bits or products
-        beyond :attr:`STAGE_CAP`) keys are pre-resolved in blocks and
-        repeated keys replay the probe cache instead of re-reading the
-        memory.  Cached replays do not re-touch the rule-filter memory
-        counters — the same deviation every fast-path cache layer already
-        makes.
+        Every outcome and probe log is bit-identical to :meth:`combine`'s
+        for the same lists: the same combinations are probed in the same
+        order with the same pruning and budget.  With NumPy, the items whose
+        products fit the probe budget are staged as array segments, at most
+        :attr:`STAGE_CAP` keys per pass, and each pass is resolved by one
+        :meth:`~repro.hardware.rule_filter.RuleFilterMemory.lookup_batch`
+        (which counts every staged key's reads, pruned ones included) and
+        one segmented prefix minimum (:meth:`_walk_pass`); they leave the
+        probe cache alone.  Every other item, and every item without NumPy,
+        takes the block walk (:meth:`_walk_blocks`) on its own, in batch
+        order: it replays repeated keys from the probe cache without
+        re-touching the memory counters, the same deviation every fast-path
+        cache layer makes.
         """
-        if any(not entries for entries in lists):
-            # Some field produced no matching label: no rule can match.
-            return CombinerOutcome(entry=None, probes=0, memory_accesses=0, cycles=1)
-        if self.mode is CombinerMode.FIRST_LABEL:
-            key = self._fast_pack([entries[0][0] for entries in lists])
-            hit = probe_cache.data.get(key)
-            if hit is None:
-                lookup = self.rule_filter.lookup(key)
-                hit = (lookup.entry, lookup.probes, lookup.home)
-                probe_cache.put(key, hit)
-            entry, probes, home = hit
-            if probe_log is not None:
-                probe_log.append(home)
-            # As in lookup(): every probe is one memory access.
-            return CombinerOutcome(
-                entry=entry, probes=1, memory_accesses=probes, cycles=1 + probes
-            )
-        return self._cross_product_cached(lists, probe_cache, sort_memo, probe_log)
+        logs = probe_logs if probe_logs is not None else [None] * len(batch)
+        outcomes: List[Optional[CombinerOutcome]] = [None] * len(batch)
+        records: List[Optional[list]] = [None] * len(batch)
+        first_label = self.mode is CombinerMode.FIRST_LABEL
+        # The two-limb key staging represents keys up to 128 bits; anything
+        # wider (a custom LabelKeyLayout) streams through the block walk.
+        staging = _np is not None and self.layout.total_bits <= 128
+        largest = min(self.probe_budget, self.STAGE_CAP)
+        passes: List[list] = []
+        staged: list = []
+        keys = 0
+        for index, lists in enumerate(batch):
+            if not all(lists):
+                # Some field produced no matching label: no rule can match.
+                outcomes[index] = CombinerOutcome(
+                    entry=None, probes=0, memory_accesses=0, cycles=1
+                )
+            elif first_label:
+                outcomes[index] = self._first_label_cached(lists, probe_cache, logs[index])
+            else:
+                record = [
+                    self._staging_record(dimension, entries, sort_memo)
+                    for dimension, entries in enumerate(lists)
+                ]
+                records[index] = record
+                size = math.prod([len(one[0]) for one in record])
+                if staging and size <= largest:
+                    if keys + size > self.STAGE_CAP:
+                        passes.append(staged)
+                        staged, keys = [], 0
+                    staged.append((index, record, size))
+                    keys += size
+        if staged:
+            passes.append(staged)
+        for misses in passes:
+            self._walk_pass(misses, batch, outcomes, logs)
+        for index, outcome in enumerate(outcomes):
+            if outcome is None:
+                outcomes[index] = self._walk_blocks(
+                    [one[0] for one in records[index]], batch[index], probe_cache, logs[index]
+                )
+        return CombinedBatch(outcomes, sum(outcome.probes for outcome in outcomes))
 
-    #: Cross products fully staged as arrays when their size is at most this;
-    #: larger ones stream through the block walk (tests may lower it to force
-    #: the fallback).
-    STAGE_CAP = 1 << 20
+    #: Keys one staged pass of :meth:`combine_with_cache` holds at most, which
+    #: bounds the pass's transient arrays: a batch whose staged products add
+    #: up to more splits into several passes, and an item whose product alone
+    #: exceeds it takes the block walk (tests set it to 0 to force the block
+    #: walk everywhere).
+    STAGE_CAP = 1 << 10
+
+    def _first_label_cached(self, lists, probe_cache, probe_log: Optional[list]) -> CombinerOutcome:
+        """:meth:`_combine_first_label` through the probe cache."""
+        key = self._fast_pack([entries[0][0] for entries in lists])
+        hit = probe_cache.data.get(key)
+        if hit is None:
+            lookup = self.rule_filter.lookup(key)
+            hit = (lookup.entry, lookup.probes, lookup.home)
+            probe_cache.put(key, hit)
+        entry, probes, home = hit
+        if probe_log is not None:
+            probe_log.append(home)
+        # As in lookup(): every probe is one memory access.
+        return CombinerOutcome(entry=entry, probes=1, memory_accesses=probes, cycles=1 + probes)
 
     def _staging_record(self, dimension: int, entries, sort_memo):
         """Memoized per-(dimension, match-list) staging data.
 
-        Always carries the priority-sorted list; with NumPy present it also
-        carries the per-entry priority array and the entry labels pre-shifted
-        into their packed-key position, split into low/high 64-bit limbs
-        (``hi`` is ``None`` for dimensions whose field never crosses bit 63).
+        Always carries the list's ``(label, priority)`` pairs in priority
+        order with each label pre-shifted into its packed-key position; with
+        NumPy present it also carries the per-entry priority array and the
+        shifted labels split into low/high 64-bit limbs (``hi`` is ``None``
+        for dimensions whose field never crosses bit 63).
         """
         memo_key = (dimension, entries)
         record = sort_memo.data.get(memo_key)
         if record is None:
-            ordered = tuple(sorted(entries, key=lambda pair: pair[1]))
+            shift = self._key_shifts[dimension]
+            ordered = sorted(entries, key=lambda pair: pair[1])
+            shifted = tuple((label << shift, priority) for label, priority in ordered)
             if _np is not None:
                 count = len(ordered)
                 priorities = _np.fromiter(
@@ -199,7 +257,6 @@ class LabelCombiner:
                 labels = _np.fromiter(
                     (label for label, _ in ordered), dtype=_np.uint64, count=count
                 )
-                shift = self._key_shifts[dimension]
                 width = self.layout.field_widths()[dimension]
                 if shift >= 64:
                     # The whole field lives in the high limb; shifting a
@@ -211,125 +268,134 @@ class LabelCombiner:
                     high = (
                         labels >> _np.uint64(64 - shift) if shift + width > 64 else None
                     )
-                record = (ordered, priorities, low, high)
+                record = (shifted, priorities, low, high)
             else:
-                record = (ordered, None, None, None)
+                record = (shifted, None, None, None)
             sort_memo.put(memo_key, record)
         return record
 
-    def _cross_product_cached(
-        self, lists, probe_cache, sort_memo, probe_log: Optional[list] = None
-    ) -> CombinerOutcome:
-        """Cache-backed twin of :meth:`_combine_cross_product`.
+    def _walk_pass(self, misses, batch, outcomes, logs) -> None:
+        """Array cross-product walk of several items: one ``lookup_batch``.
 
-        Dispatches between the array walk (NumPy, product size within
-        :attr:`STAGE_CAP`) and the streamed block walk; both return the
-        outcome and probe log the sequential walk would.
+        ``misses`` holds ``(index, records, size)`` per item; each item's
+        combinations are staged as one segment, in product order (the last
+        dimension varies fastest).  Combination *i* is probed iff its bound
+        is below the best entry priority among *all* combinations of its
+        item before it, a prefix minimum restarted at every segment.  That
+        equals the sequential walk's running best unless a pruned
+        combination holds a better entry, which the label priorities rule
+        out (each is the best priority of any rule using the label, so an
+        entry's priority is at least its combination's bound).  An item
+        whose segment fails that check gets no outcome, for the caller to
+        block-walk it.  A segment never exceeds the probe budget, so no
+        staged walk is truncated.
         """
-        records = [
-            self._staging_record(dimension, entries, sort_memo)
-            for dimension, entries in enumerate(lists)
-        ]
-        ordered = [record[0] for record in records]
-        # The two-limb key staging represents keys up to 128 bits; anything
-        # wider (a custom LabelKeyLayout) streams through the block walk.
-        if _np is not None and self.layout.total_bits <= 128:
-            total = math.prod(len(one) for one in ordered)
-            if total <= self.STAGE_CAP:
-                outcome = self._walk_staged(records, ordered, probe_log)
-                if outcome is not None:
-                    return outcome
-        return self._walk_blocks(ordered, probe_cache, probe_log)
-
-    def _walk_staged(
-        self, records, ordered, probe_log: Optional[list] = None
-    ) -> Optional[CombinerOutcome]:
-        """Array cross-product walk: each chunk resolved in one ``lookup_batch``.
-
-        Combination *i* is probed iff its bound is below the best entry
-        priority among *all* combinations before it, a prefix minimum.  That
-        equals the sequential walk's running best unless a pruned combination
-        holds a better entry, which the label priorities rule out (each is
-        the best priority of any rule using the label, so an entry's priority
-        is at least its combination's bound).  The walk checks this as it
-        goes and returns ``None`` when it fails, for the caller to run the
-        block walk instead.  Chunks of at most ``probe_budget`` combinations
-        carry the running best; the probe log is appended once the walk is
-        final.
-        """
-        # Bounds and key limbs in product order (the last dimension varies
-        # fastest), broadcast over the dimensions with several labels;
-        # single-label dimensions fold in as scalars.
-        shifts = self._key_shifts
-        bound = -(1 << 63)
-        key = 0
-        varied = []
-        for dimension, record in enumerate(records):
-            if len(record[0]) == 1:
-                label, priority = record[0][0]
-                bound = max(bound, priority)
-                key |= label << shifts[dimension]
-            else:
-                varied.append(record)
-        shape = tuple(len(record[0]) for record in varied)
-        bounds = _np.full(shape, bound, dtype=_np.int64)
-        low = _np.full(shape, key & 0xFFFFFFFFFFFFFFFF, dtype=_np.uint64)
-        high = _np.full(shape, key >> 64, dtype=_np.uint64)
-        for axis, (_, priorities, low_d, high_d) in enumerate(varied):
-            view = [1] * len(varied)
-            view[axis] = -1
-            _np.maximum(bounds, priorities.reshape(view), out=bounds)
-            low |= low_d.reshape(view)
-            if high_d is not None:
-                high |= high_d.reshape(view)
-        bounds, low, high = bounds.ravel(), low.ravel(), high.ravel()
-        rule_filter = self.rule_filter
-        budget = self.probe_budget
-        best: Optional[RuleFilterEntry] = None
-        best_priority = NO_ENTRY
-        probes = 0
-        accesses = 0
-        homes = []
-        truncated = False
-        for start in range(0, bounds.size, budget):
-            chunk = slice(start, start + budget)
-            found = rule_filter.lookup_batch(low[chunk], high[chunk])
-            priorities = found.priorities
-            before = _np.minimum.accumulate(
-                _np.concatenate(([best_priority], priorities[:-1]))
+        np = _np
+        sizes = [size for _, _, size in misses]
+        edges = list(itertools.accumulate(sizes, initial=0))
+        total = edges[-1]
+        bounds = np.empty(total, dtype=np.int64)
+        low = np.empty(total, dtype=np.uint64)
+        high = np.empty(total, dtype=np.uint64)
+        start = 0
+        for _, records, size in misses:
+            # Broadcast over the dimensions with several labels; single-label
+            # dimensions fold in as scalars.
+            bound = -(1 << 63)
+            key = 0
+            varied = []
+            for record in records:
+                if len(record[0]) == 1:
+                    ((label, priority),) = record[0]
+                    bound = max(bound, priority)
+                    key |= label
+                else:
+                    varied.append(record)
+            shape = tuple(len(record[0]) for record in varied)
+            end = start + size
+            segment_bounds = bounds[start:end].reshape(shape)
+            segment_low = low[start:end].reshape(shape)
+            segment_high = high[start:end].reshape(shape)
+            segment_bounds.fill(bound)
+            segment_low.fill(key & 0xFFFFFFFFFFFFFFFF)
+            segment_high.fill(key >> 64)
+            for axis, (_, priorities, low_d, high_d) in enumerate(varied):
+                view = [1] * len(varied)
+                view[axis] = -1
+                np.maximum(segment_bounds, priorities.reshape(view), out=segment_bounds)
+                segment_low |= low_d.reshape(view)
+                if high_d is not None:
+                    segment_high |= high_d.reshape(view)
+            start = end
+        found = self.rule_filter.lookup_batch(low, high)
+        priorities = found.priorities
+        # ``running``: the best entry priority among the combinations of its
+        # segment up to and including each one.  One accumulate restarts at
+        # every segment once each segment's values lie below all earlier
+        # segments' values: rank them, and lift each segment one rank span
+        # above the segment after it.  ``order`` is the scanned array, which
+        # that makes non-increasing over the whole pass.
+        if len(misses) > 1:
+            values, ranks = np.unique(priorities, return_inverse=True)
+            lift = np.repeat(range((len(misses) - 1) * values.size, -1, -values.size), sizes)
+            order = np.minimum.accumulate(ranks + lift)
+            running = values[order - lift]
+        else:
+            order = running = np.minimum.accumulate(priorities)
+        # Each combination is compared with the best before it; the first of
+        # a segment has none, so it is always probed.
+        edges = np.array(edges)
+        probed = np.empty(total, dtype=bool)
+        np.less(bounds[1:], running[:-1], out=probed[1:])
+        probed[edges[:-1]] = True
+        # A pruned combination holding a better entry fails its segment.
+        failing = ()
+        failed = (priorities[1:] < running[:-1]) > probed[1:]
+        if failed.any():
+            failing = set(edges.searchsorted(failed.nonzero()[0] + 1, "right").tolist())
+        taken = probed.nonzero()[0]
+        # Per segment, the slice of ``taken`` holding its probes (each
+        # segment holds at least its first combination).
+        cuts = taken.searchsorted(edges)
+        accesses = np.add.reduceat(found.probes[taken], cuts[:-1]).tolist()
+        # Each segment's first combination reaching its best priority: when
+        # the check passed it was probed, and it holds the entry the
+        # sequential walk keeps (it replaces the best only on a strictly
+        # lower priority).  ``order`` is non-increasing, so one search finds
+        # them all.
+        picks = total - order[::-1].searchsorted(order[edges[1:] - 1], "right")
+        slots = found.slots[picks].tolist()  # -1: no entry
+        homes = found.homes[taken].tolist()
+        cuts = cuts.tolist()
+        entry_at = self.rule_filter.entry_at
+        for number, (index, _, _) in enumerate(misses, 1):
+            if number in failing:
+                continue
+            first, last = cuts[number - 1], cuts[number]
+            slot = slots[number - 1]
+            log = logs[index]
+            if log is not None:
+                log.extend(homes[first:last])
+            outcomes[index] = self._finish_walk(
+                batch[index],
+                entry_at(slot) if slot >= 0 else None,
+                last - first,
+                accesses[number - 1],
+                False,
+                log,
             )
-            probed = bounds[chunk] < before
-            if (~probed & (priorities < before)).any():
-                return None  # a pruned combination holds a better entry
-            taken = _np.flatnonzero(probed)[: budget - probes]
-            if taken.size:
-                probes += taken.size
-                accesses += int(found.probes[taken].sum())
-                homes.append(found.homes[taken])
-                pick = taken[priorities[taken].argmin()]
-                if priorities[pick] < best_priority:
-                    best = rule_filter.entry_at(int(found.slots[pick]))
-                    best_priority = best.priority
-            if probes >= budget:
-                tail = itertools.product(*ordered)
-                tail = itertools.islice(tail, start + int(taken[-1]) + 1, None)
-                truncated = self._tail_has_candidates(tail, best)
-                break
-        if probe_log is not None:
-            for part in homes:
-                probe_log.extend(part.tolist())
-        return self._finish_walk(ordered, best, probes, accesses, truncated, probe_log)
 
     def _walk_blocks(
-        self, ordered, probe_cache, probe_log: Optional[list] = None
+        self, shifted, lists, probe_cache, probe_log: Optional[list] = None
     ) -> CombinerOutcome:
-        """Streamed block walk through the probe cache.
+        """Streamed block walk of one item through the probe cache.
 
-        Runs without NumPy, for keys wider than 128 bits, for products beyond
+        ``shifted`` holds the item's pre-shifted, priority-ordered lists (its
+        staging records' first fields).  Runs without NumPy, for keys wider
+        than 128 bits, for products beyond the probe budget or
         :attr:`STAGE_CAP`, and when the array walk's check fails.
         """
-        combinations = itertools.product(*ordered)
-        s0, s1, s2, s3, s4, s5, s6 = self._key_shifts
+        pairs = self._pairs(shifted)
         lookup_many = self.rule_filter._lookup_many
         probe_data = probe_cache.data
         probe_get = probe_data.get
@@ -340,45 +406,20 @@ class LabelCombiner:
         probes = 0
         accesses = 0
         while True:
-            block = list(itertools.islice(combinations, block_size))
+            block = list(itertools.islice(pairs, block_size))
             if not block:
                 break
-            # Pack the whole block's keys, and pre-resolve the ones that are
-            # not already cached *and* not provably pruned by the current
-            # best (``best`` only improves, so a combination pruned now is
-            # also pruned when the walk below reaches it).
-            staged = []
-            stage = staged.append
-            misses = []
-            miss = misses.append
-            unpruned = best is None
-            for combo in block:
-                (l0, p0), (l1, p1), (l2, p2), (l3, p3), (l4, p4), (l5, p5), (l6, p6) = combo
-                bound = p0
-                if p1 > bound:
-                    bound = p1
-                if p2 > bound:
-                    bound = p2
-                if p3 > bound:
-                    bound = p3
-                if p4 > bound:
-                    bound = p4
-                if p5 > bound:
-                    bound = p5
-                if p6 > bound:
-                    bound = p6
-                if not unpruned and bound >= best_priority:
-                    # Provably pruned at walk time too (``best`` only
-                    # improves); the key is never needed.
-                    stage((bound, 0))
-                    continue
-                key = (
-                    (l0 << s0) | (l1 << s1) | (l2 << s2) | (l3 << s3)
-                    | (l4 << s4) | (l5 << s5) | (l6 << s6)
-                )
-                stage((bound, key))
-                if key not in probe_data:
-                    miss(key)
+            # Pre-resolve the block's keys that are not already cached *and*
+            # not provably pruned by the current best (``best`` only
+            # improves, so a combination pruned now is also pruned when the
+            # walk below reaches it).
+            if best is None:
+                misses = [key for key, _ in block if key not in probe_data]
+            else:
+                misses = [
+                    key for key, bound in block
+                    if bound < best_priority and key not in probe_data
+                ]
             if misses:
                 # Resolve no more than the cache can hold: the excess would
                 # evict keys resolved in this very batch before the walk
@@ -387,7 +428,7 @@ class LabelCombiner:
                 probe_cache.put_many(lookup_many(misses[: probe_cache.limit]))
             # The walk itself: identical visit order, pruning, accounting and
             # budget semantics as the uncached cross-product loop.
-            for index, (bound, key) in enumerate(staged):
+            for index, (key, bound) in enumerate(block):
                 if best is not None and bound >= best_priority:
                     continue
                 hit = probe_get(key)
@@ -405,12 +446,49 @@ class LabelCombiner:
                     best = entry
                     best_priority = entry.priority
                 if probes >= budget:
-                    tail = itertools.chain(block[index + 1:], combinations)
-                    truncated = self._tail_has_candidates(tail, best)
-                    return self._finish_walk(
-                        ordered, best, probes, accesses, truncated, probe_log
+                    tail = itertools.chain(block[index + 1:], pairs)
+                    truncated = self._tail_has_candidates(
+                        (bound for _, bound in tail), best
                     )
-        return self._finish_walk(ordered, best, probes, accesses, False, probe_log)
+                    return self._finish_walk(
+                        lists, best, probes, accesses, truncated, probe_log
+                    )
+        return self._finish_walk(lists, best, probes, accesses, False, probe_log)
+
+    def _pairs(self, shifted):
+        """Stream the cross product's ``(key, bound)`` pairs in product order.
+
+        The trailing lists are folded, one at a time, into one list of pairs
+        until it holds at least a block; each combination of the leading
+        lists is folded once, and joined with those pairs only when the walk
+        reaches it.  Every key is built from labels shifted once per list,
+        and the product is never built whole.
+        """
+        split = len(shifted) - 1
+        inner = shifted[split]
+        while split and len(inner) < self.PROBE_BLOCK:
+            split -= 1
+            inner = [
+                (label | key, priority if priority > bound else bound)
+                for label, priority in shifted[split]
+                for key, bound in inner
+            ]
+        if not split:
+            return iter(inner)
+        leading = (
+            (
+                functools.reduce(operator.or_, [label for label, _ in combination]),
+                max([priority for _, priority in combination]),
+            )
+            for combination in itertools.product(*shifted[:split])
+        )
+        return itertools.chain.from_iterable(
+            [
+                (prefix | key, bound if bound > floor else floor)
+                for key, bound in inner
+            ]
+            for prefix, floor in leading
+        )
 
     # -- modes --------------------------------------------------------------------
     def _combine_first_label(
@@ -471,7 +549,9 @@ class LabelCombiner:
                 # priority bound prunes most of the tail).  The caller must be
                 # able to tell (the flag feeds LookupResult and the
                 # SessionStats truncation counter).
-                truncated = self._tail_has_candidates(combinations, best)
+                truncated = self._tail_has_candidates(
+                    (max(priority for _, priority in rest) for rest in combinations), best
+                )
                 break
         return self._finish_walk(lists, best, probes, accesses, truncated, probe_log)
 
@@ -517,24 +597,25 @@ class LabelCombiner:
             truncated=truncated,
         )
 
-    def _tail_has_candidates(self, combinations, best: Optional[RuleFilterEntry]) -> bool:
+    def _tail_has_candidates(self, bounds, best: Optional[RuleFilterEntry]) -> bool:
         """True when an unvisited combination would still have been probed.
 
-        Applies the same priority-bound prune test as the main walk — without
-        issuing any memory access — so an exhausted budget whose remaining
-        tail is entirely prunable is *not* reported as truncation (the result
-        is provably exact without a Rule Filter scan).  The check is capped
-        at ``probe_budget`` further combinations: past that, truncation is
-        reported conservatively rather than walking a pathological cross
-        product to its end.
+        ``bounds`` iterates the priority bounds of the combinations the walk
+        did not visit, in walk order.  Applies the same prune test as the
+        main walk — without issuing any memory access — so an exhausted
+        budget whose remaining tail is entirely prunable is *not* reported as
+        truncation (the result is provably exact without a Rule Filter
+        scan).  The check is capped at ``probe_budget`` further combinations:
+        past that, truncation is reported conservatively rather than walking
+        a pathological cross product to its end.
         """
         if best is None:
             # Nothing matched yet, so any remaining combination is a live
             # candidate (the prune test never fires without a best entry).
-            return next(combinations, None) is not None
-        for scanned, combination in enumerate(combinations):
+            return next(bounds, None) is not None
+        for scanned, bound in enumerate(bounds):
             if scanned >= self.probe_budget:
                 return True
-            if max(priority for _, priority in combination) < best.priority:
+            if bound < best.priority:
                 return True
         return False

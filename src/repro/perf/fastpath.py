@@ -18,7 +18,9 @@ record from scratch for each packet; the fast path memoizes four layers:
    label lists mapping to the (immutable)
    :class:`~repro.core.label_combiner.CombinerOutcome`.  Distinct field
    values that resolve to the same label lists share one entry, so this layer
-   hits even when the field layer misses.
+   hits even when the field layer misses.  A batch probes it once per
+   distinct label-list tuple, and its misses are resolved together (see
+   below).
 3. **Result layer** — a cache keyed by the tuple of the seven field-result
    ids mapping to the finished :class:`~repro.core.result.Classification`.
    Distinct headers that resolve to the same per-dimension results share one
@@ -47,18 +49,22 @@ reused, so a result key naming a dropped id can only miss.
 per packet and group the distinct misses; read the misses' seven dimension
 columns straight from the header fields; resolve each dimension's distinct
 uncached values to result ids in one walker call; then look the id tuples up
-in the result layer.  The modes differ only in what resolves.  The plain
-mode's walkers call the engine's ``lookup`` per value
-(:class:`~repro.fields.vectorized.ScalarBatchWalker`), and combiner misses
-go to the combiner's ``combine``.  The vectorized mode (``vectorized=True``)
-resolves the values through the array batch walkers of
-:mod:`repro.fields.vectorized` (NumPy when available) and combiner misses
-through
-:meth:`~repro.core.label_combiner.LabelCombiner.combine_with_cache` — an
-exact cross-product walk that, with NumPy, resolves every combination's key
-in one array rule-filter lookup.  Without NumPy it pre-packs keys in blocks
-and replays repeated rule-filter probes from a fifth, key-level **probe
-cache** (which stays empty when NumPy is present).
+in the result layer, and finish its distinct misses together: one combiner
+probe per distinct label-list tuple, one resolution of the new tuples, combo
+ids handed out in first-seen order, and the dependency maps filed in the
+order one miss at a time would file them.  The modes differ only in what
+resolves.  The plain mode's walkers call the engine's ``lookup`` per value
+(:class:`~repro.fields.vectorized.ScalarBatchWalker`), and each new
+label-list tuple goes to the combiner's ``combine``.  The vectorized mode
+(``vectorized=True``) resolves the values through the array batch walkers of
+:mod:`repro.fields.vectorized` (NumPy when available) and all of a batch's
+new tuples in one
+:meth:`~repro.core.label_combiner.LabelCombiner.combine_with_cache` call —
+exact cross-product walks that, with NumPy, resolve the staged keys of every
+tuple within the probe budget in one array rule-filter lookup.  The other
+tuples, and every tuple without NumPy, take a block walk that pre-packs keys
+in blocks and replays repeated rule-filter probes from a fifth, key-level
+**probe cache** (which only those walks fill).
 
 Results are *bit-exact* with the per-packet path in every mode: every cached
 object is immutable and deterministic given the installed rules, and the
@@ -380,26 +386,36 @@ class FastPathAccelerator:
         return BatchResult(tuple(results))
 
     def _classify_misses(self, headers: List[PacketHeader]) -> List[Classification]:
-        """Classify distinct header-layer misses through the lower layers."""
+        """Classify distinct header-layer misses through the lower layers.
+
+        The result layer is probed once per header; its distinct misses are
+        finished together by :meth:`_assemble`.
+        """
         columns = packet_dimension_columns(headers)
         keys = list(zip(*[self._field_id_column(name, columns[name]) for name in DIMENSIONS]))
         result_data = self._result_cache.data
         result_get = result_data.get
         touch = result_data.move_to_end
-        assemble = self._assemble
+        misses: Dict[Tuple[int, ...], int] = {}
+        group = misses.setdefault
+        holes = []  # (position, index of the distinct miss) per missed header
         records = []
         append = records.append
-        hits = 0
-        for key in keys:
+        for position, key in enumerate(keys):
             record = result_get(key)
             if record is None:
-                record = assemble(key)
+                holes.append((position, group(key, len(misses))))
             else:
                 touch(key)
-                hits += 1
             append(record)
-        self.result_hits += hits
-        self.result_misses += len(keys) - hits
+        if misses:
+            assembled = self._assemble(list(misses))
+            for position, index in holes:
+                records[position] = assembled[index]
+        # A repeat of a missed key within the batch counts as a hit, as it
+        # would had the miss been filled before the repeat arrived.
+        self.result_hits += len(keys) - len(misses)
+        self.result_misses += len(misses)
         # A full scalar intern table is pruned only now: the records above
         # fetched their field results through it.  Results outlive their
         # values (a commit discards the values in its spans, the LRU evicts)
@@ -439,49 +455,88 @@ class FastPathAccelerator:
         self.field_hits += len(column) - len(missing)
         return list(map(ids.__getitem__, column))
 
-    def _assemble(self, result_key: Tuple[int, ...]) -> Classification:
-        """Finish a result-layer miss through the combiner cache."""
+    def _assemble(self, result_keys: List[Tuple[int, ...]]) -> List[Classification]:
+        """Finish a batch's distinct result-layer misses through the combiner cache.
+
+        The combiner cache is probed once per distinct label-list tuple (a
+        repeat within the batch counts one miss, then hits); the new tuples
+        are resolved together, by one
+        :meth:`~repro.core.label_combiner.LabelCombiner.combine_with_cache`
+        call in the vectorized mode and by ``combine`` per tuple in the plain
+        mode, and take combo ids in first-seen order.  The dependency maps
+        are filed in result-key order, each new combo before the first result
+        built on it, as one miss at a time would file them.
+        """
         classifier = self.classifier
-        walkers = self._walkers
-        field_results = {
-            name: walkers[name].result(field_id)
-            for name, field_id in zip(DIMENSIONS, result_key)
-        }
-        track = not self._deps_overflow
-        key = tuple(result.matches for result in field_results.values())
-        cached = self._combiner_cache.get(key)
-        if cached is None:
-            probe_log: Optional[list] = [] if track else None
-            if self.vectorized:
-                outcome = classifier.combiner.combine_with_cache(
-                    key, self._probe_cache, self._sort_memo, probe_log
-                )
+        walkers = [self._walkers[name] for name in DIMENSIONS]
+        field_results = [
+            {
+                name: walker.result(field_id)
+                for name, walker, field_id in zip(DIMENSIONS, walkers, key)
+            }
+            for key in result_keys
+        ]
+        combo_keys = [
+            tuple(result.matches for result in results.values()) for results in field_results
+        ]
+        cache_data = self._combiner_cache.data
+        cache_get = cache_data.get
+        touch = cache_data.move_to_end
+        combos: Dict[tuple, Optional[tuple]] = {}
+        new = []
+        for combo_key in combo_keys:
+            if combo_key in combos:
+                continue
+            cached = cache_get(combo_key)
+            if cached is None:
+                new.append(combo_key)
             else:
-                outcome = classifier.combiner.combine(
-                    {name: result.matches for name, result in field_results.items()},
-                    probe_log,
-                )
-            combo_id = self._next_combo_id
-            self._next_combo_id += 1
-            self._combiner_cache.put(key, (outcome, combo_id))
-            self.combiner_misses += 1
+                touch(combo_key)
+            combos[combo_key] = cached
+        self.combiner_hits += len(combo_keys) - len(new)
+        self.combiner_misses += len(new)
+        logs: Optional[list] = None
+        if new:
+            if not self._deps_overflow:
+                logs = [[] for _ in new]
+            if self.vectorized:
+                outcomes = classifier.combiner.combine_with_cache(
+                    new, self._probe_cache, self._sort_memo, logs
+                ).outcomes
+            else:
+                combine = classifier.combiner.combine
+                outcomes = [
+                    combine(dict(zip(DIMENSIONS, combo_key)), log)
+                    for combo_key, log in zip(new, logs or [None] * len(new))
+                ]
+            first_id = self._next_combo_id
+            self._next_combo_id += len(new)
+            entries = [
+                (combo_key, (outcome, combo_id))
+                for combo_id, (combo_key, outcome) in enumerate(zip(new, outcomes), first_id)
+            ]
+            self._combiner_cache.put_many(entries)
+            combos.update(entries)
+        unfiled = dict(zip(new, logs)) if logs is not None else {}
+        records = []
+        for result_key, results, combo_key in zip(result_keys, field_results, combo_keys):
+            outcome, combo_id = combos[combo_key]
+            records.append(
+                Classification.from_lookup(classifier._assemble_lookup(results, outcome))
+            )
+            if self._deps_overflow:
+                continue
+            probe_log = unfiled.pop(combo_key, None)
             if probe_log:
-                self._combo_keys[combo_id] = key
+                self._combo_keys[combo_id] = combo_key
                 combos_by_home = self._combos_by_home
                 for home in probe_log:
                     combos_by_home[home].append(combo_id)
                 self._note_registrations(len(probe_log))
-        else:
-            outcome, combo_id = cached
-            self.combiner_hits += 1
-        record = Classification.from_lookup(
-            classifier._assemble_lookup(field_results, outcome)
-        )
-        self._result_cache.put(result_key, record)
-        if track:
             self._results_by_combo[combo_id].add(result_key)
             self._note_registrations(1)
-        return record
+        self._result_cache.put_many(zip(result_keys, records))
+        return records
 
     def _note_registrations(self, count: int) -> None:
         """Account dependency-map growth; fall back to wholesale on overflow.

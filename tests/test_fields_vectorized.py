@@ -15,6 +15,7 @@ against the sequential one, and the bounded cache types.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -476,8 +477,9 @@ def _assert_cached_walk_exact(layout):
             Rule.build(rule_id, rng.randrange(50), action=RuleAction.DROP),
         )
     reference = combiner.combine(dict(zip(DIMENSIONS, lists)))
-    cached = combiner.combine_with_cache(lists, BoundedCache(512), BoundedCache(64))
-    assert cached == reference
+    cached = combiner.combine_with_cache([lists], BoundedCache(512), BoundedCache(64))
+    assert cached.outcomes == [reference]
+    assert cached.probes == reference.probes
 
 
 class TestWideLayoutStaging:
@@ -504,100 +506,141 @@ class TestWideLayoutStaging:
         assert unit.hash_batch(keys) == [unit.hash(key) for key in keys]
 
 
-def _walk_both(combiner, lists, probe_cache):
-    """Run ``combine`` and ``combine_with_cache``; return both outcomes and logs."""
-    reference_log, cached_log = [], []
-    reference = combiner.combine(dict(zip(DIMENSIONS, lists)), reference_log)
-    cached = combiner.combine_with_cache(lists, probe_cache, BoundedCache(64), cached_log)
-    return (reference, reference_log), (cached, cached_log)
+def _walk_both(combiner, batch, probe_cache):
+    """Run ``combine`` per item and ``combine_with_cache`` on the batch.
+
+    Returns both sides as lists of ``(outcome, probe log)`` pairs.
+    """
+    reference = []
+    for lists in batch:
+        log = []
+        reference.append((combiner.combine(dict(zip(DIMENSIONS, lists)), log), log))
+    logs = [[] for _ in batch]
+    cached = combiner.combine_with_cache(batch, probe_cache, BoundedCache(64), logs)
+    assert cached.probes == sum(outcome.probes for outcome, _ in reference)
+    return reference, list(zip(cached.outcomes, logs))
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the array walk needs NumPy")
 class TestArrayCombinerWalk:
-    """The NumPy prefix-minimum walk against the sequential ``combine`` walk.
+    """The batched walk against the sequential ``combine`` walk.
 
-    The array walk leaves the probe cache empty; only the block walk it
-    falls back to fills it, which is how these tests tell the two apart.
+    With NumPy, an item within the probe budget and :attr:`STAGE_CAP` takes
+    the array walk, which leaves the probe cache empty; the block walk, which
+    every other item takes, fills it.  Without NumPy every item takes the
+    block walk.
     """
 
     @settings(max_examples=150, deadline=None)
     @given(
-        sizes=st.lists(st.integers(1, 4), min_size=7, max_size=7),
+        shapes=st.lists(
+            st.lists(st.sampled_from([1, 1, 1, 2, 2, 3, 4]), min_size=7, max_size=7),
+            min_size=1,
+            max_size=6,
+        ),
+        empty=st.sets(st.integers(0, 5), max_size=2),
+        repeats=st.lists(st.integers(0, 5), max_size=3),
         rules=st.lists(
             st.tuples(
-                st.lists(st.integers(0, 3), min_size=7, max_size=7), st.integers(0, 40)
+                st.integers(0, 5),
+                st.lists(st.integers(0, 3), min_size=7, max_size=7),
+                st.integers(0, 40),
             ),
             max_size=24,
         ),
         filler=st.integers(0, 8),
         table_bits=st.sampled_from([5, 6]),
-        budget=st.sampled_from([1, 2, 3, 7, 4096]),
+        budget=st.sampled_from([1, 2, 3, 7, 64, 4096]),
+        stage_cap=st.sampled_from([0, 24, 1 << 12]),
+        block=st.sampled_from([1, 5, 256]),
         consistent=st.booleans(),
         seed=st.integers(0, 1 << 16),
     )
     def test_equals_combine(
-        self, sizes, rules, filler, table_bits, budget, consistent, seed
+        self, shapes, empty, repeats, rules, filler, table_bits, budget, stage_cap,
+        block, consistent, seed,
     ):
-        """High-load tables, truncating budgets and multi-chunk products.
+        """A batch of 1-6 list tuples over one rule filter, one call.
 
-        ``consistent`` label priorities are the best priority of any rule
-        using the label (what the label tables maintain), so the array walk
-        must run to the end; arbitrary ones may force the fallback.
+        Items with an empty list, repeated items, products beyond the budget
+        or ``stage_cap``, high-load tables and truncating budgets mix staged
+        items (split over several passes by a small ``stage_cap``), block
+        walks and no-match outcomes.  ``consistent`` label priorities are the
+        best priority of any rule using the label (what the label tables
+        maintain), so every staged item stays staged; arbitrary ones may
+        fail the staged check and force the block walk.
         """
         rng = random.Random(seed)
         layout = DEFAULT_LABEL_LAYOUT
         rule_filter = RuleFilterMemory(capacity=1 << table_bits)
         combiner = LabelCombiner(rule_filter, layout, probe_budget=budget)
+        combiner.STAGE_CAP = stage_cap
+        combiner.PROBE_BLOCK = block
+        # Odd items hold labels 4-7 and even ones 0-3 (the 2-bit protocol
+        # field aside), so a pass mixes segments that share keys with
+        # segments that share none.
+        first = [[4 * (item % 2)] * 6 + [0] for item in range(len(shapes))]
         best = [dict() for _ in DIMENSIONS]
-        for rule_id, (picks, priority) in enumerate(rules):
-            labels = [pick % size for pick, size in zip(picks, sizes)]
+        for rule_id, (item, picks, priority) in enumerate(rules):
+            # Each rule is reachable from the item it is drawn for.
+            item %= len(shapes)
+            labels = [
+                low + pick % size for low, pick, size in zip(first[item], picks, shapes[item])
+            ]
             rule_filter.insert(layout.pack(labels), Rule.build(rule_id, priority))
             for dim, label in enumerate(labels):
                 best[dim][label] = min(priority, best[dim].get(label, priority))
         for rule_id in range(len(rules), len(rules) + filler):
-            # Unreachable keys (no list holds label 5) that only add load.
-            labels = [5, rule_id] + [0] * 5
+            # Unreachable keys (no list holds label 9) that only add load.
+            labels = [9, rule_id] + [0] * 5
             rule_filter.insert(layout.pack(labels), Rule.build(rule_id, rule_id))
-        lists = tuple(
-            tuple(
-                (label, best[dim].get(label, 41) if consistent else rng.randrange(42))
-                for label in range(size)
-            )
-            for dim, size in enumerate(sizes)
-        )
+        batch = []
+        for item, sizes in enumerate(shapes):
+            if item in empty:
+                sizes = sizes[:6] + [0]
+            batch.append(tuple(
+                tuple(
+                    (label, best[dim].get(label, 41) if consistent else rng.randrange(42))
+                    for label in range(low, low + size)
+                )
+                for dim, (low, size) in enumerate(zip(first[item], sizes))
+            ))
+        batch += [batch[item] for item in repeats if item < len(batch)]
         probe_cache = BoundedCache(4096)
-        reference, cached = _walk_both(combiner, lists, probe_cache)
+        reference, cached = _walk_both(combiner, batch, probe_cache)
         assert cached == reference
-        if consistent:
+        staged_only = all(
+            math.prod(map(len, lists)) <= min(budget, stage_cap) for lists in batch
+        )
+        if HAVE_NUMPY and consistent and staged_only:
             assert len(probe_cache) == 0
 
     def test_product_spanning_several_chunks(self):
+        """A product beyond the budget: the first hit prunes all the rest."""
         rule_filter = RuleFilterMemory(capacity=64)
         combiner = LabelCombiner(rule_filter, DEFAULT_LABEL_LAYOUT, probe_budget=10)
         lists = [((0, 0),)] * 4 + [tuple((label, label) for label in range(4))] * 3
         rule_filter.insert(DEFAULT_LABEL_LAYOUT.pack([0] * 7), Rule.build(1, 0))
         probe_cache = BoundedCache(4096)
-        reference, cached = _walk_both(combiner, tuple(lists), probe_cache)
+        reference, cached = _walk_both(combiner, [tuple(lists)], probe_cache)
         assert cached == reference
-        # 64 combinations in chunks of 10: the first hit prunes all the rest.
-        assert cached[0].probes == 1 and not cached[0].truncated
-        assert len(probe_cache) == 0
+        # 64 combinations against a budget of 10.
+        assert cached[0][0].probes == 1 and not cached[0][0].truncated
 
     def test_budget_reached_in_a_later_chunk(self):
-        """The second chunk may hold more live combinations than budget left.
+        """The budget runs out with live combinations left: a truncated walk.
 
-        Chunks of 3: (0,0) bound 0 hits priority 5, (0,1) bound 0 misses,
-        (0,2) bound 8 is pruned; then (1,0) and (1,1), both bound 0, are live
-        but only one probe of the budget remains.
+        Product order is (0,0) bound 0, which hits priority 5, (0,1) bound 0
+        and (0,2) bound 8, pruned; then (1,0) and (1,1), both bound 0, are
+        live but only one probe of the budget of 3 remains.
         """
         layout = DEFAULT_LABEL_LAYOUT
         rule_filter = RuleFilterMemory(capacity=64)
         combiner = LabelCombiner(rule_filter, layout, probe_budget=3)
         rule_filter.insert(layout.pack([0] * 7), Rule.build(1, 5))
         lists = (((0, 0), (1, 0)), ((0, 0), (1, 0), (2, 8))) + (((0, 0),),) * 5
-        reference, cached = _walk_both(combiner, lists, BoundedCache(4096))
+        reference, cached = _walk_both(combiner, [lists], BoundedCache(4096))
         assert cached == reference
-        assert reference[0].probes == 3 and reference[0].truncated
+        assert reference[0][0].probes == 3 and reference[0][0].truncated
 
     def test_pruned_better_entry_forces_the_block_walk(self):
         """A rule below its labels' priorities breaks the prefix-minimum walk.
@@ -617,9 +660,9 @@ class TestArrayCombinerWalk:
             rule_filter.insert(key, Rule.build(rule_id, priority))
         lists = (((1, 1), (2, 2)), ((1, 1), (2, 5))) + (((0, 0),),) * 5
         probe_cache = BoundedCache(4096)
-        reference, cached = _walk_both(combiner, lists, probe_cache)
+        reference, cached = _walk_both(combiner, [lists], probe_cache)
         assert cached == reference
-        assert reference[0].entry.rule_id == 2 and reference[0].probes == 2
+        assert reference[0][0].entry.rule_id == 2 and reference[0][0].probes == 2
         assert len(probe_cache) > 0
 
 

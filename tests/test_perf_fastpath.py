@@ -250,6 +250,45 @@ class TestCacheInvalidation:
             assert list(fast.results) == [classifier.classify(packet) for packet in batch]
             assert accelerator.cache_stats()["epoch_flushes"] == 0
 
+    def test_both_modes_file_the_same_dependencies(self, small_acl_ruleset):
+        """Batch-wide assembly files what one miss at a time would, in both modes.
+
+        The batches repeat field-id tuples (distinct headers, equal field
+        results) and label-list tuples (distinct field results, equal
+        lists), and a scoped commit drops some of the filed entries halfway.
+        Field ids differ between the modes' walkers, so the result keys
+        filed per combo id are compared by count.
+        """
+        trace = generate_trace(small_acl_ruleset, count=12 * 128, seed=DIFFERENTIAL_SEED)
+        victim = small_acl_ruleset.highest_priority_match(trace[0])
+        accelerators = []
+        for vectorized in (False, True):
+            classifier = create_classifier(
+                "configurable", small_acl_ruleset, fast=True, vectorized=vectorized
+            )
+            for start in range(0, len(trace), 128):
+                if start == 6 * 128:
+                    classifier.control.begin().remove(victim.rule_id).commit()
+                classifier.classify_batch(trace[start:start + 128])
+            accelerators.append(classifier._fast_path)
+        plain, vectorized = accelerators
+        for accelerator in accelerators:
+            stats = accelerator.cache_stats()
+            assert stats["scoped_commits"] == 1
+            assert stats["result_hits"] > 0 and stats["combiner_hits"] > 0
+            assert stats["combiner_hits"] + stats["combiner_misses"] == stats["result_misses"]
+        assert dict(plain._combos_by_home) == dict(vectorized._combos_by_home)
+        assert plain._combo_keys == vectorized._combo_keys
+
+        def filed(accelerator):
+            return {combo: len(keys) for combo, keys in accelerator._results_by_combo.items()}
+
+        assert filed(plain) == filed(vectorized)
+        counters = ["combiner_hits", "combiner_misses", "result_hits", "result_misses"]
+        assert [plain.cache_stats()[name] for name in counters] == [
+            vectorized.cache_stats()[name] for name in counters
+        ]
+
     def test_disable_detaches_listeners(self, small_acl_ruleset, small_trace):
         classifier = create_classifier("configurable", small_acl_ruleset, fast=True)
         accelerator = classifier._fast_path
