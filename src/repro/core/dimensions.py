@@ -14,13 +14,14 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.core.label_combiner import DIMENSIONS
 from repro.fields.prefix import prefix_range, split_prefix_segments
-from repro.rules.packet import PacketHeader
+from repro.rules.packet import PROTOCOL_WIDTH, PacketHeader
 from repro.rules.rule import Rule
 
 __all__ = [
     "DIMENSIONS",
     "IP_DIMENSIONS",
     "PORT_DIMENSIONS",
+    "DIMENSION_DOMAINS",
     "rule_dimension_specs",
     "packet_dimension_values",
     "dimension_label_width",
@@ -31,6 +32,13 @@ __all__ = [
 IP_DIMENSIONS: Tuple[str, ...] = ("src_ip_hi", "src_ip_lo", "dst_ip_hi", "dst_ip_lo")
 #: The two port dimensions (7-bit labels).
 PORT_DIMENSIONS: Tuple[str, ...] = ("src_port", "dst_port")
+#: Number of lookup values of each dimension: 2^16 for the IP segments and
+#: the ports, 2^8 for the protocol.  Every lookup value lies in
+#: ``range(DIMENSION_DOMAINS[name])``.
+DIMENSION_DOMAINS: Dict[str, int] = {
+    **{name: 1 << 16 for name in IP_DIMENSIONS + PORT_DIMENSIONS},
+    "protocol": 1 << PROTOCOL_WIDTH,
+}
 
 
 def rule_dimension_specs(rule: Rule) -> Dict[str, Hashable]:
@@ -96,7 +104,7 @@ def spec_interval(dimension: str, spec: Hashable) -> Tuple[int, int]:
         return int(low), int(high)
     if dimension == "protocol":
         wildcard, value = spec  # type: ignore[misc]
-        return (0, 255) if wildcard else (int(value), int(value))
+        return (0, DIMENSION_DOMAINS[dimension] - 1) if wildcard else (int(value), int(value))
     raise KeyError(f"unknown dimension {dimension!r}")
 
 

@@ -333,13 +333,17 @@ class LabelCombiner:
         # segment up to and including each one.  One accumulate restarts at
         # every segment once each segment's values lie below all earlier
         # segments' values: rank them, and lift each segment one rank span
-        # above the segment after it.  ``order`` is the scanned array, which
-        # that makes non-increasing over the whole pass.
+        # (the pass's key count) above the segment after it.  A stable sort
+        # ranks equal priorities in walk order, so the running minimum stays
+        # on the first of them.  ``order`` is the scanned array, which that
+        # makes non-increasing over the whole pass.
         if len(misses) > 1:
-            values, ranks = np.unique(priorities, return_inverse=True)
-            lift = np.repeat(range((len(misses) - 1) * values.size, -1, -values.size), sizes)
+            by_rank = priorities.argsort(kind="stable")
+            ranks = np.empty(total, dtype=np.int64)
+            ranks[by_rank] = np.arange(total)
+            lift = np.repeat(range((len(misses) - 1) * total, -1, -total), sizes)
             order = np.minimum.accumulate(ranks + lift)
-            running = values[order - lift]
+            running = priorities[by_rank[order - lift]]
         else:
             order = running = np.minimum.accumulate(priorities)
         # Each combination is compared with the best before it; the first of

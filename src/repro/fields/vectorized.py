@@ -40,8 +40,9 @@ a rebuild prunes the table to the results its rows name once it holds more
 than twice as many.  Until then a retired result keeps its id, so the
 results of a rule removed and re-inserted come back under their old ids
 and the fast path's result layer keeps hitting.  The scalar walker's table
-grows with the distinct results it looked up, and its owner bounds it with
-:meth:`BatchWalker.prune`.
+grows with the distinct results it looked up; the fast path prunes it
+(:meth:`BatchWalker.prune`) to the ids its field table names once it holds
+as many results as the dimension has values.
 
 A control-plane commit hands each dimension's field spans (see
 :class:`~repro.core.invalidation.InvalidationScope`) to the walker through

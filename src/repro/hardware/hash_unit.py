@@ -130,6 +130,8 @@ class HashUnit:
 
     #: 64-bit odd multiplicative constant (splitmix64 finaliser flavour).
     _MULTIPLIER = 0x9E3779B97F4A7C15
+    #: The finaliser's second multiplier.
+    _MIXER = 0xBF58476D1CE4E5B9
 
     def __init__(self, table_bits: int = 14) -> None:
         if not 1 <= table_bits <= 30:
@@ -150,7 +152,7 @@ class HashUnit:
         value ^= key >> 64
         value = (value * self._MULTIPLIER) & 0xFFFFFFFFFFFFFFFF
         value ^= value >> 29
-        value = (value * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        value = (value * self._MIXER) & 0xFFFFFFFFFFFFFFFF
         value ^= value >> 32
         return value & (self.table_size - 1)
 
@@ -159,13 +161,23 @@ class HashUnit:
 
         Keys are split into two 64-bit limbs and mixed by :meth:`hash_limbs`
         when NumPy is available and the batch is big enough to amortise the
-        array round-trip; otherwise it falls back to per-key :meth:`hash`.
-        Callers pass packed label keys, which are non-negative by
-        construction.
+        array round-trip; otherwise one loop mixes every key as :meth:`hash`
+        does, with the masks and multipliers hoisted out of it.  Callers pass
+        packed label keys, which are non-negative by construction, so the
+        loop skips :meth:`hash`'s sign check.
         """
-        if _np is None or len(keys) < 32:
-            return [self.hash(key) for key in keys]
         mask64 = 0xFFFFFFFFFFFFFFFF
+        if _np is None or len(keys) < 32:
+            multiplier = self._MULTIPLIER
+            mixer = self._MIXER
+            slot_mask = self.table_size - 1
+            slots = []
+            for key in keys:
+                value = (((key & mask64) ^ (key >> 64)) * multiplier) & mask64
+                value ^= value >> 29
+                value = (value * mixer) & mask64
+                slots.append((value ^ (value >> 32)) & slot_mask)
+            return slots
         count = len(keys)
         low = _np.fromiter((key & mask64 for key in keys), dtype=_np.uint64, count=count)
         # hash() folds every bit above 63 in before a multiply masked to 64
@@ -186,7 +198,7 @@ class HashUnit:
         value = low ^ high
         value *= _np.uint64(self._MULTIPLIER)
         value ^= value >> _np.uint64(29)
-        value *= _np.uint64(0xBF58476D1CE4E5B9)
+        value *= _np.uint64(self._MIXER)
         value ^= value >> _np.uint64(32)
         value &= _np.uint64(self.table_size - 1)
         return value.astype(_np.int64)

@@ -6,8 +6,12 @@ handful of protocols and a modest set of port values.  The per-packet path
 recomputes every engine walk, every combiner cross-product and every result
 record from scratch for each packet; the fast path memoizes four layers:
 
-1. **Field layer** — one cache per dimension mapping the packet's field value
-   to the result id its batch walker returned (see
+1. **Field layer** — one direct-indexed table per dimension: a Python list
+   the size of the dimension's value domain
+   (:data:`~repro.core.dimensions.DIMENSION_DOMAINS`: 2^16 slots for an IP
+   segment or a port, 2^8 for the protocol, as the paper's 256-entry protocol
+   LUT), indexed by the field value and holding the result id its batch
+   walker returned, or ``None`` while unfilled (see
    :mod:`repro.fields.vectorized`).  The walker owns the dimension's intern
    table, the software analogue of the label-list memory a field engine
    points into: it ids each distinct (immutable)
@@ -35,24 +39,29 @@ record from scratch for each packet; the fast path memoizes four layers:
    below it, so a commit that moves any field span or Rule Filter probe
    clears it whole (see :meth:`FastPathAccelerator.note_commit`).
 
-Every layer is a bounded :class:`~repro.perf.lru.LRUCache`: an adversarial
-stream of never-repeating flows evicts instead of growing without bound, and
-the eviction counts are reported by :meth:`FastPathAccelerator.cache_stats`.
-Each intern table's bound moves with it: an array walker's table is bounded
-by its view (a rebuild prunes it to the results the view's rows name once it
+Every layer is bounded.  A field table is bounded by its domain: it is
+allocated once, at full size, and never evicts.  The combiner, result and
+header layers are bounded :class:`~repro.perf.lru.LRUCache` instances (the
+probe cache below is FIFO-bounded): an adversarial stream of never-repeating
+flows evicts instead of growing without bound, and the eviction counts are
+reported by :meth:`FastPathAccelerator.cache_stats`.
+Each intern table has its own bound: an array walker's table is bounded by
+its view (a rebuild prunes it to the results the view's rows name once it
 holds more than twice as many), and a scalar walker's table, which grows
-with the results it looked up, is pruned to the ids its field cache still
-names by a batch that leaves it at the field-cache limit.  Ids are never
-reused, so a result key naming a dropped id can only miss.
+with the results it looked up, is pruned to the ids its field table still
+names by a batch that leaves it holding as many results as the dimension
+has values.  Ids are never reused, so a result key naming a dropped id can
+only miss.
 
 **One columnar pass per batch**, in both modes: probe the header layer once
 per packet and group the distinct misses; read the misses' seven dimension
-columns straight from the header fields; resolve each dimension's distinct
-uncached values to result ids in one walker call; then look the id tuples up
-in the result layer, and finish its distinct misses together: one combiner
-probe per distinct label-list tuple, one resolution of the new tuples, combo
-ids handed out in first-seen order, and the dependency maps filed in the
-order one miss at a time would file them.  The modes differ only in what
+columns straight from the header fields; read each column through its field
+table and resolve the column's distinct unfilled values to result ids in one
+walker call, in first-seen order; then look the id tuples up in the result
+layer, and finish its distinct misses together: one combiner probe per
+distinct label-list tuple, one resolution of the new tuples, combo ids
+handed out in first-seen order, and the dependency maps filed in the order
+one miss at a time would file them.  The modes differ only in what
 resolves.  The plain mode's walkers call the engine's ``lookup`` per value
 (:class:`~repro.fields.vectorized.ScalarBatchWalker`), and each new
 label-list tuple goes to the combiner's ``combine``.  The vectorized mode
@@ -78,7 +87,7 @@ Rule Filter carry a :class:`~repro.observers.MutationEpoch` counter bumped
 after each structural mutation (every control-plane commit lands as such
 mutations), and the accelerator snapshots those epochs when it fills a cache.
 At the start of every batch the snapshots are compared against the live
-epochs — a dimension whose engine moved drops that dimension's field cache
+epochs — a dimension whose engine moved clears that dimension's field table
 (plus the derived layers), a Rule Filter that moved drops the combiner,
 result, header and probe caches.  Interleaved transactional updates and
 batch lookups therefore stay correct without any callback registration, and
@@ -88,7 +97,7 @@ cold at epoch 0).
 Epochs are the backstop.  A control-plane commit hands its
 :class:`~repro.core.invalidation.InvalidationScope` to
 :meth:`FastPathAccelerator.note_commit`, which makes the commit cost what it
-changes: field caches shed only the values inside the commit's spans, the
+changes: field tables clear only the slots inside the commit's spans, the
 batch walkers queue the same spans and patch their flattened views at the
 next batch instead of rebuilding them (see :mod:`repro.fields.vectorized`),
 and combiner / result entries drop only if their walk probed a Rule Filter
@@ -100,9 +109,11 @@ entry's label-list key once per probe.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import compress, repeat
+from operator import is_
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.dimensions import DIMENSIONS, packet_dimension_columns
+from repro.core.dimensions import DIMENSION_DOMAINS, DIMENSIONS, packet_dimension_columns
 from repro.core.result import BatchResult, Classification
 from repro.core.invalidation import InvalidationScope, snapshot_marks
 from repro.core.label_combiner import SCAN_HOME
@@ -117,11 +128,6 @@ __all__ = ["FastPathAccelerator"]
 #: classifications is a few hundred MB at most and far beyond any realistic
 #: working set.
 DEFAULT_HEADER_CACHE_LIMIT = 1 << 20
-#: Per-dimension field-cache bound (and the scalar walkers' intern-table
-#: bound); a 16-bit dimension has at most 65536 distinct values, so this never
-#: evicts for the IP/port engines in practice while still bounding custom
-#: wider engines.
-DEFAULT_FIELD_CACHE_LIMIT = 1 << 16
 #: Combiner-outcome cache bound (keys are label-list tuple combinations).
 DEFAULT_COMBINER_CACHE_LIMIT = 1 << 16
 #: Result-memo bound (keys are per-dimension field-result id tuples).
@@ -146,7 +152,6 @@ class FastPathAccelerator:
         self,
         classifier,
         header_cache_limit: int = DEFAULT_HEADER_CACHE_LIMIT,
-        field_cache_limit: int = DEFAULT_FIELD_CACHE_LIMIT,
         combiner_cache_limit: int = DEFAULT_COMBINER_CACHE_LIMIT,
         result_cache_limit: int = DEFAULT_RESULT_CACHE_LIMIT,
         probe_cache_limit: int = DEFAULT_PROBE_CACHE_LIMIT,
@@ -155,16 +160,21 @@ class FastPathAccelerator:
         self.classifier = classifier
         self.header_cache_limit = header_cache_limit
         self.vectorized = vectorized
-        # LRUCache validates the limits (ConfigurationError on non-positive).
-        self._field_caches: Dict[str, LRUCache] = {
-            name: LRUCache(field_cache_limit) for name in DIMENSIONS
+        # One slot per value of each dimension's domain, allocated once and
+        # cleared in place: the walker's result id, or None while unfilled.
+        self._field_tables: Dict[str, list] = {
+            name: [None] * DIMENSION_DOMAINS[name] for name in DIMENSIONS
         }
-        # The field caches map values to the result ids of these walkers,
-        # which own the intern tables.
+        # Filled slots per table: a commit skips the spans of an empty table
+        # (a bulk install commits thousands of spans before any lookup).
+        self._filled: Dict[str, int] = dict.fromkeys(DIMENSIONS, 0)
+        # The field tables hold the result ids of these walkers, which own
+        # the intern tables.
         walker = batch_walker if vectorized else ScalarBatchWalker
         self._walkers: Dict[str, BatchWalker] = {
             name: walker(classifier.engines[name]) for name in DIMENSIONS
         }
+        # LRUCache validates the limits (ConfigurationError on non-positive).
         self._combiner_cache = LRUCache(combiner_cache_limit)
         self._result_cache = LRUCache(result_cache_limit)
         self._header_cache = LRUCache(header_cache_limit)
@@ -221,15 +231,15 @@ class FastPathAccelerator:
         Runs at the head of every batch: compares each engine's and the Rule
         Filter's :class:`~repro.observers.MutationEpoch` counter against the
         snapshot taken when the caches were last validated.  A moved engine
-        drops its dimension's field cache and every derived layer; a moved
-        Rule Filter drops the derived layers only.
+        clears its dimension's field table and drops every derived layer; a
+        moved Rule Filter drops the derived layers only.
         """
         marks = snapshot_marks(self.classifier)
         if marks == self._marks:
             return
         for name in DIMENSIONS:
             if self._marks.get(name) != marks[name]:
-                self._field_caches[name].clear()
+                self._clear_table(name)
         if self._marks:
             self.epoch_flushes += 1
         self._marks = marks
@@ -250,6 +260,13 @@ class FastPathAccelerator:
         self._clear_deps()
         self._deps_overflow = False
 
+    def _clear_table(self, name: str) -> None:
+        """Unfill every slot of a dimension's field table, in place."""
+        if self._filled[name]:
+            table = self._field_tables[name]
+            table[:] = [None] * len(table)
+            self._filled[name] = 0
+
     def _clear_deps(self) -> None:
         self._combos_by_home.clear()
         self._combo_keys.clear()
@@ -258,8 +275,8 @@ class FastPathAccelerator:
 
     def invalidate(self) -> None:
         """Drop every cached lookup (all layers)."""
-        for cache in self._field_caches.values():
-            cache.clear()
+        for name in DIMENSIONS:
+            self._clear_table(name)
         self._sort_memo.clear()
         self._marks = {}
         self._invalidate_outcomes()
@@ -279,6 +296,11 @@ class FastPathAccelerator:
         clean.  On any mismatch (out-of-band mutations, a previous unscoped
         commit) the caches are left alone and the ordinary epoch comparison
         at the next batch flushes them wholesale.
+
+        Each span clears its slice of the dimension's field table, and the
+        filled slots it clears count as dropped entries (a slot two
+        overlapping spans cover counts once).  Once a table holds no filled
+        slot, its remaining spans are skipped.
         """
         if scope is None or scope.wholesale:
             return
@@ -292,13 +314,17 @@ class FastPathAccelerator:
         # Field layer: lookups inside a span may have changed; the combiner /
         # result layers are keyed by the lookup *results* (label lists, result
         # ids) and therefore self-correct.
+        filled = self._filled
         for name, spans in scope.field_spans.items():
-            cache = self._field_caches[name]
-            values = cache.data
-            stale = {value for low, high in spans for value in values if low <= value <= high}
-            for value in stale:
-                cache.discard(value)
-            dropped += len(stale)
+            table = self._field_tables[name]
+            for low, high in spans:
+                if not filled[name]:
+                    break
+                end = high + 1
+                cleared = end - low - table[low:end].count(None)
+                table[low:end] = [None] * (end - low)
+                filled[name] -= cleared
+                dropped += cleared
         # Header layer: it short-circuits the field walk and the combiner, so
         # any moved span or probe may have changed an entry.  Header hits
         # after a commit measure ~0 on churn traffic, so tracking which
@@ -418,42 +444,37 @@ class FastPathAccelerator:
         self.result_misses += len(misses)
         # A full scalar intern table is pruned only now: the records above
         # fetched their field results through it.  Results outlive their
-        # values (a commit discards the values in its spans, the LRU evicts)
-        # so that a value re-resolving to an equal result gets its old id
-        # back and its result-cache entries still hit.  At the limit the
-        # results no cached value names go; the live ones keep their ids.
+        # values (a commit clears the slots in its spans) so that a value
+        # re-resolving to an equal result gets its old id back and its
+        # result-cache entries still hit.  Once a table holds as many results
+        # as its dimension has values, the results no filled slot names go;
+        # the live ones keep their ids.
         for name, walker in self._walkers.items():
-            cache = self._field_caches[name]
-            if walker.interned >= cache.limit:
-                walker.prune(cache.data.values())
+            table = self._field_tables[name]
+            if walker.interned >= len(table):
+                walker.prune(table)
         return records
 
     def _field_id_column(self, name: str, column: List[int]) -> List[int]:
         """Map one dimension's value column to the walker's result ids.
 
-        Each distinct value the field cache does not hold is resolved once,
-        all of them in one walker call.
+        The column is read through the dimension's field table; its distinct
+        unfilled values are resolved once, all of them in one walker call in
+        first-seen order, and filled in.  Values index the table directly:
+        :class:`~repro.rules.packet.PacketHeader` range-checks every field.
         """
-        cache = self._field_caches[name]
-        data = cache.data
-        cached_id = data.get
-        touch = data.move_to_end
-        ids = {}
-        missing = []
-        for value in dict.fromkeys(column):
-            field_id = cached_id(value)
-            if field_id is None:
-                missing.append(value)
-            else:
-                touch(value)
-                ids[value] = field_id
+        table = self._field_tables[name]
+        read = table.__getitem__
+        ids = list(map(read, column))
+        missing = list(dict.fromkeys(compress(column, map(is_, ids, repeat(None)))))
         if missing:
-            resolved = dict(zip(missing, self._walkers[name].resolve(missing)))
-            ids.update(resolved)
-            cache.put_many(resolved.items())
+            for value, field_id in zip(missing, self._walkers[name].resolve(missing)):
+                table[value] = field_id
+            self._filled[name] += len(missing)
+            ids = list(map(read, column))
             self.field_misses += len(missing)
         self.field_hits += len(column) - len(missing)
-        return list(map(ids.__getitem__, column))
+        return ids
 
     def _assemble(self, result_keys: List[Tuple[int, ...]]) -> List[Classification]:
         """Finish a batch's distinct result-layer misses through the combiner cache.
@@ -560,20 +581,21 @@ class FastPathAccelerator:
         return hits / total if total else 0.0
 
     def cache_stats(self) -> Dict[str, float]:
-        """Sizes, hit/miss/eviction counters and derived per-layer hit rates."""
+        """Sizes, hit/miss/eviction counters and derived per-layer hit rates.
+
+        ``field_entries`` counts the filled field-table slots; the field
+        layer never evicts, so it reports no eviction count.
+        """
         return {
             "header_entries": len(self._header_cache),
             "header_hits": self.header_hits,
             "header_misses": self.header_misses,
             "header_hit_rate": self._hit_rate(self.header_hits, self.header_misses),
             "header_evictions": self._header_cache.evictions,
-            "field_entries": sum(len(cache) for cache in self._field_caches.values()),
+            "field_entries": sum(self._filled.values()),
             "field_hits": self.field_hits,
             "field_misses": self.field_misses,
             "field_hit_rate": self._hit_rate(self.field_hits, self.field_misses),
-            "field_evictions": sum(
-                cache.evictions for cache in self._field_caches.values()
-            ),
             "field_results": sum(walker.interned for walker in self._walkers.values()),
             "combiner_entries": len(self._combiner_cache),
             "combiner_hits": self.combiner_hits,

@@ -1,9 +1,10 @@
 """Bounded least-recently-used caches for the fast-path memoization layers.
 
-Every memoization layer of :class:`~repro.perf.fastpath.FastPathAccelerator`
-is keyed by values arriving from the packet stream (field values, label-list
-tuples, whole headers, packed rule-filter keys), so an adversarial stream of
-never-repeating flows would grow an unbounded dict forever.  :class:`LRUCache`
+The memoization layers of :class:`~repro.perf.fastpath.FastPathAccelerator`
+above the field tables are keyed by values arriving from the packet stream
+(label-list tuples, field-result id tuples, whole headers, packed rule-filter
+keys), so an adversarial stream of never-repeating flows would grow an
+unbounded dict forever.  :class:`LRUCache`
 bounds each layer: a hit refreshes the entry's recency, an insert beyond the
 limit evicts the least recently used entry and counts it, so a cache under an
 adversarial stream holds memory flat while a cache under a realistic

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import is_not
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.api import ClassificationSession, create_classifier
 from repro.api.session import RunningCounters
 from repro.core.classifier import ConfigurableClassifier
 from repro.core.config import ClassifierConfig, CombinerMode, IpAlgorithm
-from repro.core.dimensions import DIMENSIONS, packet_dimension_values
+from repro.core.dimensions import DIMENSION_DOMAINS, DIMENSIONS, packet_dimension_values
 from repro.exceptions import ConfigurationError
 from repro.fields.prefix import Prefix
 from repro.fields.range_utils import PortRange
@@ -289,6 +290,103 @@ class TestCacheInvalidation:
             vectorized.cache_stats()[name] for name in counters
         ]
 
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_scoped_commit_clears_exactly_its_spans(
+        self, small_acl_ruleset, monkeypatch, vectorized
+    ):
+        """A scoped commit unfills the field-table slots inside its spans, no others.
+
+        Three commits, each recorded through a wrapped ``note_commit``: one
+        whose span covers a whole dimension (removing the rule that holds
+        the wildcard source port's best priority), a remove+insert whose
+        destination-port spans overlap, and a narrow source prefix.  The
+        warm trace fills the domain edges (0 and 2^16 - 1, 0 and 255).
+        """
+        edges = [
+            PacketHeader(0, 0xFFFFFFFF, 0, 0xFFFF, 0),
+            PacketHeader(0xFFFFFFFF, 0, 0xFFFF, 0, 0xFF),
+        ]
+        trace = edges + generate_trace(small_acl_ruleset, count=600, seed=DIFFERENTIAL_SEED)
+        classifier = create_classifier(
+            "configurable", small_acl_ruleset, fast=True, vectorized=vectorized
+        )
+        accelerator = classifier._fast_path
+        scopes = []
+        note_commit = accelerator.note_commit
+
+        def recording(scope):
+            scopes.append(scope)
+            note_commit(scope)
+
+        monkeypatch.setattr(accelerator, "note_commit", recording)
+        rules = small_acl_ruleset.rules()
+        wildcard_best = min(
+            (rule for rule in rules if rule.src_port == PortRange(0, 0xFFFF)),
+            key=lambda rule: rule.priority,
+        )
+        ports = [(rule.dst_port.low, rule.dst_port.high) for rule in rules]
+        widened = next(
+            rule for rule, span in zip(rules, ports)
+            if ports.count(span) == 1 and span[1] - span[0] < 0xFF00
+        )
+        template = next(rule for rule in rules if rule.rule_id != wildcard_best.rule_id)
+        narrow = dataclasses.replace(
+            template,
+            rule_id=80_001,
+            priority=max(rule.priority for rule in rules) + 1,
+            src_prefix=Prefix(trace[len(edges)].src_ip & 0xFFFFFF00, 24),
+        )
+        commits = [
+            lambda txn: txn.remove(wildcard_best.rule_id),
+            lambda txn: txn.remove(widened.rule_id).insert(dataclasses.replace(
+                widened,
+                rule_id=80_000,
+                dst_port=PortRange(widened.dst_port.low, widened.dst_port.high + 0xFF),
+            )),
+            lambda txn: txn.insert(narrow),
+        ]
+        assert list(classifier.classify_batch(trace).results) == [
+            classifier.classify(packet) for packet in trace
+        ]
+        for number, commit in enumerate(commits, 1):
+            before = {name: _filled(accelerator._field_tables[name]) for name in DIMENSIONS}
+            for name, domain in DIMENSION_DOMAINS.items():
+                assert {0, domain - 1} <= set(before[name])
+            entries = accelerator.cache_stats()["field_entries"]
+            assert entries == sum(map(len, before.values()))
+            commit(classifier.control.begin()).commit()
+            assert len(scopes) == number
+            assert accelerator.cache_stats()["scoped_commits"] == number
+            spans = scopes[-1].field_spans
+            widths = [high - low for low, high in chain.from_iterable(spans.values())]
+            if number == 1:
+                assert (0, 0xFFFF) in spans["src_port"]
+            elif number == 2:
+                dst = sorted(spans["dst_port"])
+                assert any(a[1] >= b[0] for a, b in zip(dst, dst[1:]))  # overlap
+            else:  # at most the first-level trie subtree holding the prefix
+                assert widths and max(widths) < 1 << 12
+            cleared = 0
+            for name in DIMENSIONS:
+                table = accelerator._field_tables[name]
+                for low, high in spans.get(name, ()):
+                    assert table[low:high + 1].count(None) == high + 1 - low
+                inside = {
+                    value for value in before[name]
+                    if any(low <= value <= high for low, high in spans.get(name, ()))
+                }
+                cleared += len(inside)
+                after = _filled(table)
+                assert after == {
+                    value: field_id for value, field_id in before[name].items()
+                    if value not in inside
+                }
+            assert cleared > 0
+            assert accelerator.cache_stats()["field_entries"] == entries - cleared
+            fast = classifier.classify_batch(trace)
+            assert accelerator.cache_stats()["epoch_flushes"] == 0
+            assert list(fast.results) == [classifier.classify(packet) for packet in trace]
+
     def test_disable_detaches_listeners(self, small_acl_ruleset, small_trace):
         classifier = create_classifier("configurable", small_acl_ruleset, fast=True)
         accelerator = classifier._fast_path
@@ -366,6 +464,12 @@ class TestVectorizedMode:
         assert batch.packets == len(small_trace)
 
 
+def _filled(table):
+    """``{value: result id}`` of a field table's filled slots."""
+    values = list(compress(range(len(table)), map(is_not, table, repeat(None))))
+    return dict(zip(values, map(table.__getitem__, values)))
+
+
 def _row_ids(walker):
     """The result ids an array walker's flat rows name (orphaned trie rows too)."""
     if isinstance(walker, TrieBatchWalker):
@@ -392,7 +496,6 @@ class TestAdversarialStream:
 
     LIMITS = dict(
         header_cache_limit=64,
-        field_cache_limit=48,
         combiner_cache_limit=48,
         probe_cache_limit=96,
     )
@@ -427,13 +530,16 @@ class TestAdversarialStream:
         assert list(fast.results) == list(baseline.results)
         stats = accelerator.cache_stats()
         assert stats["header_entries"] <= self.LIMITS["header_cache_limit"]
-        assert stats["field_entries"] <= 7 * self.LIMITS["field_cache_limit"]
+        # The field tables are bounded by their domains and never evict: they
+        # hold each distinct value of the stream once.
+        assert stats["field_entries"] == len({
+            pair for packet in stream for pair in packet_dimension_values(packet).items()
+        })
         assert stats["combiner_entries"] <= self.LIMITS["combiner_cache_limit"]
         assert stats["probe_entries"] <= self.LIMITS["probe_cache_limit"]
         # The stream overflows every bound, so eviction must have happened —
         # the unbounded-growth regression this test pins down.
         assert stats["header_evictions"] > 0
-        assert stats["field_evictions"] > 0
         assert stats["combiner_evictions"] > 0
         accelerator.detach()
 
@@ -485,32 +591,41 @@ class TestAdversarialStream:
         assert outcomes == {0, 1}  # both scoped and overflowed commits happened
 
     @pytest.mark.parametrize("vectorized", [False, True])
-    def test_intern_tables_stay_within_field_limit(
+    def test_intern_tables_stay_within_domain(
         self, small_acl_ruleset, adversarial_stream, vectorized
     ):
-        """The walkers' intern tables stay bounded over 200 single-op commits.
+        """The walkers' intern tables stay bounded over 200 scoped commits.
 
-        The commits insert a fresh copy of one rule (new dst port range and
-        dst prefix, so new field results) and remove it again.  A scalar
-        walker's table (every dimension in plain mode, the protocol LUT in
-        vectorized mode) reaching the field-cache limit is pruned to the
-        results its cached values name, so the live entries survive.  An
+        Each commit inserts a fresh copy of one rule (new dst port range and
+        dst prefix, so new field results) or removes the last copy, and
+        replaces a wildcard-protocol rule with one of a better priority: the
+        protocol labels take a new best priority, so every protocol value
+        takes a new result, at every commit (the rule set's priorities are
+        lifted to leave room below them).  A scalar walker's table (every
+        dimension in plain mode, the protocol LUT in vectorized mode)
+        holding as many results as its dimension has values is pruned to the
+        results its filled slots name, so the live entries survive; the
+        protocol results pass the 256 protocol values many times over.  An
         array walker's table holds every result its flat rows name and at
         most as many retired ones: a rebuild prunes it to the named results
-        once it holds more than twice as many.  Every id the field cache
-        holds resolves through ``result()`` to the engine's answer, and the
-        ids issued after a prune are larger than every id issued before, so
-        a result key naming a forgotten id can only miss.
+        once it holds more than twice as many.  Every filled slot resolves
+        through ``result()`` to the engine's answer, and the ids issued after
+        a prune are larger than every id issued before, so a result key
+        naming a forgotten id can only miss.
         """
-        limit = 12
-        classifier = ConfigurableClassifier.from_ruleset(small_acl_ruleset)
+        lift = 1000
+        ruleset = RuleSet(
+            [rule.with_priority(rule.priority + lift) for rule in small_acl_ruleset.rules()],
+            name="lifted",
+        )
+        classifier = ConfigurableClassifier.from_ruleset(ruleset)
         # A header bound whose dependency budget the run never exhausts, so
-        # the commits stay scoped and the field caches persist across batches.
-        limits = dict(self.LIMITS, field_cache_limit=limit, header_cache_limit=8192)
+        # the commits stay scoped and the field tables persist across batches.
+        limits = dict(self.LIMITS, header_cache_limit=8192)
         accelerator = FastPathAccelerator(classifier, vectorized=vectorized, **limits)
         classifier._fast_path = accelerator  # control-plane commits reach it
         batches = [adversarial_stream[start:start + 8] for start in range(0, 1600, 8)]
-        template = small_acl_ruleset.rules()[0]
+        template = ruleset.rules()[0]
         rng = random.Random(21)
         issued = {name: -1 for name in DIMENSIONS}  # largest id seen so far
         held = {name: set() for name in DIMENSIONS}
@@ -527,6 +642,12 @@ class TestAdversarialStream:
                     dst_port=PortRange(low, low + rng.randrange(0x100)),
                     dst_prefix=Prefix(rng.getrandbits(32), rng.randint(8, 32)),
                 ))
+            txn.insert(Rule.build(
+                70_000 + index, lift - 1 - index, src="10.1.2.3/32", dst="10.4.5.6/32",
+                src_port="1:1", dst_port="2:2", protocol=None,
+            ))
+            if index:
+                txn.remove(70_000 + index - 1)
             txn.commit()
             fast = accelerator.classify_batch(batch)
             assert list(fast.results) == [classifier.classify(packet) for packet in batch]
@@ -538,27 +659,29 @@ class TestAdversarialStream:
                 assert set(walker._ids.values()) == ids
                 scalar = isinstance(walker, ScalarBatchWalker)
                 if scalar:
-                    assert len(ids) <= limit
+                    assert len(ids) <= DIMENSION_DOMAINS[name]
                 else:
                     named = _row_ids(walker)
                     assert named <= ids
                     assert len(ids) <= 2 * len(named)
-                cache = accelerator._field_caches[name].data
+                filled = _filled(accelerator._field_tables[name])
                 lookup = classifier.engines[name].lookup
-                for value, field_id in cache.items():
+                for value, field_id in filled.items():
                     assert walker.result(field_id) == lookup(value)
-                # The batch's own values stay cached: a prune is no miss storm.
-                assert {packet_dimension_values(packet)[name] for packet in batch} <= set(cache)
+                # The batch's own values stay filled: a prune is no miss storm.
+                assert {packet_dimension_values(packet)[name] for packet in batch} <= set(filled)
                 assert all(field_id > issued[name] for field_id in ids - held[name])
                 prunes["scalar" if scalar else "array"] += not ids >= held[name]
                 issued[name] = max(ids | {issued[name]})
                 held[name] = ids
         assert len(batches) == 200
         assert accelerator.cache_stats()["scoped_commits"] > 150
-        # Plain mode: the scalar tables really reached the limit.  Vectorized
-        # mode: the array walkers' rebuilds really dropped retired results
-        # (the protocol LUT has fewer distinct results than the limit).
-        assert prunes["array" if vectorized else "scalar"] > 0
+        # The protocol LUT's scalar table really reached its 256 values, in
+        # both modes; in vectorized mode the array walkers' rebuilds really
+        # dropped retired results too.
+        assert prunes["scalar"] > 0
+        if vectorized:
+            assert prunes["array"] > 0
 
     def test_unbounded_defaults_would_have_grown(self, small_acl_ruleset):
         """Sanity check: the stream really is adversarial (all values unique)."""
