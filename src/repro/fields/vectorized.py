@@ -15,7 +15,7 @@ walker's whole life and, within a walker, equal ids mean equal results.
 * :class:`TrieBatchWalker` — the multi-bit trie flattened into per-level
   child tables; each flat node carries the id of its result (the cumulative
   match tuple from the root down, plus the access count of a walk that ends
-  there).  A batch lookup is ``levels`` gather steps.
+  there).  A lookup is one table read per level.
 * :class:`BstBatchWalker` — one id per elementary interval of the binary
   search.  Boundary 0 is always present, so the interval a value falls in
   fixes the comparisons the scalar search makes; a lookup is one bisection.
@@ -23,9 +23,8 @@ walker's whole life and, within a walker, equal ids mean equal results.
   intervals at every ``low`` and ``high + 1``, one id each, found by the same
   bisection.
 * :class:`ScalarBatchWalker` — per-value ``lookup()``, interning each result:
-  the fallback for engines with no array view (the 256-entry protocol LUT,
-  custom engines) and the walker of every dimension in the fast path's plain
-  mode.
+  the walker of engines with no flat view (the 256-entry protocol LUT,
+  custom engines) and of every dimension in the fast path's plain mode.
 
 Every walker is **bit-exact** with the engine's own ``lookup()``:
 ``walker.result(id)`` equals ``engine.lookup(value)`` for the id ``resolve``
@@ -56,10 +55,10 @@ the walker missed a commit, the engine was mutated outside one, a span is
 wide, orphaned flat nodes would outnumber live ones, or the walker is of
 another type.
 
-NumPy is used when importable (:data:`HAVE_NUMPY`), for calls of at least
-:data:`NUMPY_MIN_VALUES` values; smaller calls, and every call without NumPy,
-take the pure-Python walk over the same view.  Pass ``use_numpy=False`` to
-force the pure-Python walk (the equivalence tests sweep both).
+Every walk is pure Python, with or without NumPy: per value, one table read
+per trie level or one bisection.  The fast path hands a walker only the
+distinct values its field tables do not hold yet, and array walks over those
+calls showed no end-to-end gain.
 """
 
 from __future__ import annotations
@@ -75,17 +74,7 @@ from repro.fields.multibit_trie import MultibitTrie
 from repro.fields.port_registers import PortRegisterFile
 from repro.fields.range_utils import PORT_MAX
 
-try:  # pragma: no cover - exercised implicitly by every numpy walker test
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the fallback paths are tested directly
-    _np = None
-    HAVE_NUMPY = False
-
 __all__ = [
-    "HAVE_NUMPY",
-    "NUMPY_MIN_VALUES",
     "BatchWalker",
     "TrieBatchWalker",
     "BstBatchWalker",
@@ -93,14 +82,6 @@ __all__ = [
     "ScalarBatchWalker",
     "batch_walker",
 ]
-
-#: Smallest call the array walkers hand to NumPy.  Below it NumPy's fixed
-#: cost per call outweighs its per-value gain.  Measured on the acl1-1K views
-#: (2-CPU x86-64 host, CPython 3.11, NumPy 2.4, median of 15 interleaved
-#: runs per size): the pure-Python walk was faster below 48-96 values on the
-#: tries (5-5-6 strides, three gathers and selects per NumPy call) and below
-#: 24-48 on the BST and port intervals (one ``searchsorted``).
-NUMPY_MIN_VALUES = 64
 
 
 class BatchWalker:
@@ -118,9 +99,8 @@ class BatchWalker:
     patch for exactly the live epoch, rebuilt otherwise.
     """
 
-    def __init__(self, engine: SingleFieldEngine, use_numpy: Optional[bool] = None) -> None:
+    def __init__(self, engine: SingleFieldEngine) -> None:
         self.engine = engine
-        self.use_numpy = HAVE_NUMPY if use_numpy is None else (use_numpy and HAVE_NUMPY)
         #: Engine epoch the flat view was built at (None: never built).
         self._built_epoch: Optional[int] = None
         #: Engine epoch the queued patch brings the view to (None: no patch).
@@ -223,11 +203,11 @@ class BatchWalker:
 class ScalarBatchWalker(BatchWalker):
     """Per-value ``engine.lookup``, each result interned (trivially bit-exact).
 
-    Used for the protocol LUT (whose value domain is 256 entries — there is
-    nothing to vectorize), for any engine without an array view, and for
-    every dimension of the fast path's plain mode.  The results themselves
-    are the intern keys, so the table grows with every distinct result
-    looked up; :meth:`prune` cuts it to the ids its owner still holds.
+    Used for the protocol LUT (already one read per value, over a 256-entry
+    domain), for any engine without a flat view, and for every dimension of
+    the fast path's plain mode.  The results themselves are the intern keys,
+    so the table grows with every distinct result looked up; :meth:`prune`
+    cuts it to the ids its owner still holds.
     """
 
     def _rebuild(self) -> None:  # nothing to flatten
@@ -261,8 +241,8 @@ class TrieBatchWalker(BatchWalker):
     from the root down to that node, merged as the scalar lookup's
     :class:`~repro.labels.label_list.LabelList` merges them — and the access
     count of a walk that ends there (one per level entered, plus the probe
-    that found no child).  A batch lookup then needs only ``levels`` gather
-    steps to find each value's last node.
+    that found no child).  A lookup then needs one table read per level to
+    find the value's last node.
 
     A patch re-flattens the first-level subtrees the queued spans touch: their
     nodes get fresh rows appended at every level and the root's child table
@@ -314,20 +294,12 @@ class TrieBatchWalker(BatchWalker):
         for table, stride, ids in zip(self._tables, self._strides, self._node_ids[1:]):
             shift -= stride
             self._steps.append((table, stride, shift, (1 << stride) - 1, ids))
-        if self.use_numpy:
-            self._np_tables = [
-                _np.asarray(table + [-1] * (1 << stride), dtype=_np.int64)
-                for table, stride in zip(self._tables, self._strides)
-            ]
-            self._np_ids = [_np.asarray(ids, dtype=_np.int64) for ids in self._node_ids]
 
     def _patch(self) -> bool:
         trie: MultibitTrie = self.engine
         children = trie.root.children
         root_table = self._tables[0]
         level_one = self._node_ids[1]
-        grown_from = [len(ids) for ids in self._node_ids]
-        table_from = [len(table) for table in self._tables]
         accesses = min(2, len(self._strides))
         frontier = []
         for branch in sorted(self._touched):
@@ -342,23 +314,6 @@ class TrieBatchWalker(BatchWalker):
         self._flatten(1, frontier)
         if sum(map(len, self._node_ids)) > 2 * trie.node_count():
             return False  # orphaned rows outnumber live nodes
-        if self.use_numpy:
-            tables = self._np_tables
-            tables[0][:len(root_table)] = root_table
-            for level in range(1, len(tables)):
-                tail = self._tables[level][table_from[level]:]
-                if tail:  # in front of the dead row
-                    dead = 1 << self._strides[level]
-                    tables[level] = _np.concatenate(
-                        (tables[level][:-dead], _np.asarray(tail, dtype=_np.int64),
-                         tables[level][-dead:])
-                    )
-            for level in range(1, len(self._np_ids)):
-                tail = self._node_ids[level][grown_from[level]:]
-                if tail:
-                    self._np_ids[level] = _np.concatenate(
-                        (self._np_ids[level], _np.asarray(tail, dtype=_np.int64))
-                    )
         return True
 
     def _flatten(self, level: int, frontier: list) -> None:
@@ -394,8 +349,6 @@ class TrieBatchWalker(BatchWalker):
 
     def _resolve(self, values: Sequence[int]) -> List[int]:
         _check_range(values, self._width)
-        if self.use_numpy and len(values) >= NUMPY_MIN_VALUES:
-            return self._resolve_numpy(values)
         root_id = self._node_ids[0][0]
         steps = self._steps
         ids = []
@@ -410,28 +363,12 @@ class TrieBatchWalker(BatchWalker):
             ids.append(found)
         return ids
 
-    def _resolve_numpy(self, values: Sequence[int]) -> List[int]:
-        # Every NumPy table ends in a dead row of -1s, so a lane that found
-        # no child (row -1) indexes the dead row from the end and stays dead
-        # without masking; its id stays that of the last node it entered.
-        keys = _np.asarray(values, dtype=_np.int64)
-        found = _np.full(len(keys), self._node_ids[0][0], dtype=_np.int64)
-        row = _np.zeros(len(keys), dtype=_np.int64)
-        for (_, stride, shift, mask, _), table, level_ids in zip(
-            self._steps, self._np_tables, self._np_ids[1:]
-        ):
-            if not level_ids.size:
-                break  # no node this deep (every row has a parent): all lanes are dead
-            row = table[(row << stride) + ((keys >> shift) & mask)]
-            found = _np.where(row >= 0, level_ids[row], found)
-        return found.tolist()
-
 
 class _IntervalWalker(BatchWalker):
     """A view of sorted elementary-interval boundaries, one result id each.
 
-    The BST and port walkers' lookup: one bisection per value (a
-    ``searchsorted`` with NumPy) finds the value's interval.  Subclasses set
+    The BST and port walkers' lookup: one bisection per value finds the
+    value's interval.  Subclasses set
     ``_width`` and ``_noun`` (for the range check) and hand :meth:`_index`
     their view.
     """
@@ -443,17 +380,9 @@ class _IntervalWalker(BatchWalker):
         self._boundaries = boundaries
         self._interval_ids = ids
         self._retain_named(set(ids))
-        if self.use_numpy:
-            self._np_boundaries = _np.asarray(boundaries, dtype=_np.int64)
-            self._np_ids = _np.asarray(ids, dtype=_np.int64)
 
     def _resolve(self, values: Sequence[int]) -> List[int]:
         _check_range(values, self._width, self._noun)
-        if self.use_numpy and len(values) >= NUMPY_MIN_VALUES:
-            positions = _np.searchsorted(
-                self._np_boundaries, _np.asarray(values, dtype=_np.int64), side="right"
-            )
-            return self._np_ids[positions - 1].tolist()
         boundaries = self._boundaries
         ids = self._interval_ids
         return [ids[bisect_right(boundaries, value) - 1] for value in values]
@@ -582,12 +511,12 @@ def _merge_matches(cumulative: tuple, pairs) -> tuple:
     return tuple(sorted(best.items(), key=lambda pair: (pair[1], pair[0])))
 
 
-def batch_walker(engine: SingleFieldEngine, use_numpy: Optional[bool] = None) -> BatchWalker:
+def batch_walker(engine: SingleFieldEngine) -> BatchWalker:
     """Build the best batch walker for ``engine`` (scalar fallback otherwise)."""
     if isinstance(engine, MultibitTrie):
-        return TrieBatchWalker(engine, use_numpy=use_numpy)
+        return TrieBatchWalker(engine)
     if isinstance(engine, BinarySearchTree):
-        return BstBatchWalker(engine, use_numpy=use_numpy)
+        return BstBatchWalker(engine)
     if isinstance(engine, PortRegisterFile):
-        return PortBatchWalker(engine, use_numpy=use_numpy)
-    return ScalarBatchWalker(engine, use_numpy=use_numpy)
+        return PortBatchWalker(engine)
+    return ScalarBatchWalker(engine)

@@ -306,7 +306,6 @@ def parse_iptables_save(
     line-numbered error.
     """
     pending: List[_PendingRule] = []
-    declared_chains: List[str] = []
     table: Optional[str] = None
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -316,7 +315,8 @@ def parse_iptables_save(
             table = line[1:].strip()
             continue
         if line.startswith(":"):
-            declared_chains.append(line[1:].split()[0])
+            if not line[1:].split():
+                raise _error(lineno, "chain declaration ':' is missing its chain name")
             continue
         if line == "COMMIT":
             table = None

@@ -52,6 +52,7 @@ from repro.rules.packet import PacketHeader
 __all__ = [
     "LINKTYPE_ETHERNET",
     "LINKTYPE_RAW_IP",
+    "MAX_CAPLEN",
     "PORT_PROTOCOLS",
     "PcapStats",
     "scan_pcap",
@@ -80,6 +81,11 @@ _VLAN_ETHERTYPES = frozenset({0x8100, 0x88A8, 0x9100})
 _GLOBAL_HEADER_REST = 20  # after the 4-byte magic
 _RECORD_HEADER_BYTES = 16
 
+#: Largest ``caplen`` a record may claim: libpcap's ``MAXIMUM_SNAPLEN``, over
+#: which libpcap rejects the record as invalid.  Checked before the read, so
+#: a corrupt length never sizes an allocation.
+MAX_CAPLEN = 262_144
+
 _PORT_WORD = struct.Struct(">HH")
 
 
@@ -93,7 +99,9 @@ class PcapStats:
     the IP header (snaplen cuts and torn file tails).  A torn tail — a record
     header or body cut off by the end of the file — ends the scan gracefully
     and counts as one truncated record: real captures are routinely torn by
-    the capturing process dying.
+    the capturing process dying.  A record claiming more than
+    :data:`MAX_CAPLEN` bytes is not torn but corrupt: the scan raises
+    :class:`~repro.exceptions.TraceIOError` naming its offset.
     """
 
     packets: int = 0
@@ -185,6 +193,11 @@ def scan_pcap(
                 stats.truncated += 1  # torn tail: record header cut off
                 break
             _ts_sec, _ts_frac, caplen, _origlen = record_header.unpack(header)
+            if caplen > MAX_CAPLEN:
+                raise TraceIOError(
+                    f"{path}: record at offset {stream.tell() - _RECORD_HEADER_BYTES} "
+                    f"claims caplen {caplen}, over the {MAX_CAPLEN}-byte maximum"
+                )
             frame = stream.read(caplen)
             if len(frame) < caplen:
                 stats.truncated += 1  # torn tail: record body cut off

@@ -66,8 +66,8 @@ resolves.  The plain mode's walkers call the engine's ``lookup`` per value
 (:class:`~repro.fields.vectorized.ScalarBatchWalker`), and each new
 label-list tuple goes to the combiner's ``combine``.  The vectorized mode
 (``vectorized=True``) resolves the values through the array batch walkers of
-:mod:`repro.fields.vectorized` (NumPy when available) and all of a batch's
-new tuples in one
+:mod:`repro.fields.vectorized` (pure Python, with or without NumPy) and all
+of a batch's new tuples in one
 :meth:`~repro.core.label_combiner.LabelCombiner.combine_with_cache` call —
 exact cross-product walks that, with NumPy, resolve the staged keys of every
 tuple within the probe budget in one array rule-filter lookup.  The other

@@ -3,13 +3,13 @@
 The acceptance property is *bit-exact equivalence*: for every engine and
 every input value, the results the ids of ``batch_walker(engine).resolve``
 name (``walker.result(id)``) must equal ``[engine.lookup(v) for v in
-values]`` — matches, ordering, access counts and cycles — in both the NumPy
-and the pure-Python implementations, on either side of the NumPy size
-switch.  Within a walker, equal ids must mean equal results and the other
-way round.  Also covers walker invalidation on engine mutation, the trie
-walker's in-place patch on commit spans (ids of values outside the spans
-survive it), the batched hash/rule-filter primitives, the array combiner walk
-against the sequential one, and the bounded cache types.
+values]`` — matches, ordering, access counts and cycles.  The walkers are
+pure Python whether or not NumPy is installed.  Within a walker, equal ids
+must mean equal results and the other way round.  Also covers walker
+invalidation on engine mutation, the trie walker's in-place patch on commit
+spans (ids of values outside the spans survive it), the batched
+hash/rule-filter primitives, the array combiner walk against the sequential
+one, and the bounded cache types.
 """
 
 from __future__ import annotations
@@ -28,11 +28,8 @@ from repro.core.config import CombinerMode
 from repro.core.dimensions import DIMENSIONS
 from repro.core.label_combiner import LabelCombiner
 from repro.exceptions import ConfigurationError, FieldLookupError
-from repro.fields import vectorized
 from repro.fields.prefix import Prefix
 from repro.fields.vectorized import (
-    HAVE_NUMPY,
-    NUMPY_MIN_VALUES,
     BstBatchWalker,
     PortBatchWalker,
     ScalarBatchWalker,
@@ -47,10 +44,12 @@ from repro.perf.lru import BoundedCache, LRUCache
 from repro.rules.rule import Rule, RuleAction
 from repro.rules.ruleset import RuleSet
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+try:  # the combiner stages its walks in arrays only with NumPy
+    import numpy
+except ImportError:
+    numpy = None
 
-#: Both walker implementations; numpy is skipped if the import is missing.
-IMPLEMENTATIONS = [False] + ([True] if HAVE_NUMPY else [])
+pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def _sample_values(engine_name: str, rng: random.Random, count: int = 400):
@@ -61,10 +60,6 @@ def _sample_values(engine_name: str, rng: random.Random, count: int = 400):
 def _results(walker, values):
     """The results the walker's ids for ``values`` name."""
     return [walker.result(result_id) for result_id in walker.resolve(values)]
-
-
-#: Batch sizes on either side of the NumPy size switch.
-SWITCH_SIZES = (1, NUMPY_MIN_VALUES - 1, NUMPY_MIN_VALUES)
 
 
 @pytest.fixture(scope="module", params=["mbt", "bst"])
@@ -84,15 +79,14 @@ def domain_lookups(built_classifier):
 
 
 class TestWalkerEquivalence:
-    @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
-    def test_every_dimension_bit_exact(self, built_classifier, domain_lookups, use_numpy):
-        """Batches of 1, the switch size - 1, the switch size and the whole domain."""
+    def test_every_dimension_bit_exact(self, built_classifier, domain_lookups):
+        """A one-value batch, a random sample and the whole domain in order."""
         rng = random.Random(2014)
         for name in DIMENSIONS:
             engine = built_classifier.engines[name]
-            walker = batch_walker(engine, use_numpy=use_numpy)
+            walker = batch_walker(engine)
             expected = domain_lookups[name]
-            for size in SWITCH_SIZES:
+            for size in (1, 200):
                 values = rng.sample(range(len(expected)), size)
                 assert _results(walker, values) == [expected[value] for value in values]
             domain = list(range(len(expected)))
@@ -103,30 +97,19 @@ class TestWalkerEquivalence:
             assert len(pairs) == len(set(ids)) == len(set(expected))
             walker.detach()
 
-    @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
-    def test_walker_types(self, built_classifier, use_numpy):
+    def test_walker_types(self, built_classifier):
         expected = {
             "mbt": TrieBatchWalker,
             "bst": BstBatchWalker,
         }[built_classifier.config.ip_algorithm.value]
-        assert isinstance(
-            batch_walker(built_classifier.engines["src_ip_lo"], use_numpy=use_numpy),
-            expected,
-        )
-        assert isinstance(
-            batch_walker(built_classifier.engines["src_port"], use_numpy=use_numpy),
-            PortBatchWalker,
-        )
-        assert isinstance(
-            batch_walker(built_classifier.engines["protocol"], use_numpy=use_numpy),
-            ScalarBatchWalker,
-        )
+        assert isinstance(batch_walker(built_classifier.engines["src_ip_lo"]), expected)
+        assert isinstance(batch_walker(built_classifier.engines["src_port"]), PortBatchWalker)
+        assert isinstance(batch_walker(built_classifier.engines["protocol"]), ScalarBatchWalker)
 
-    @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
-    def test_invalidation_on_mutation(self, small_acl_ruleset, small_fw_ruleset, use_numpy):
+    def test_invalidation_on_mutation(self, small_acl_ruleset, small_fw_ruleset):
         classifier = create_classifier("configurable", small_acl_ruleset)
         engine = classifier.engines["dst_ip_lo"]
-        walker = batch_walker(engine, use_numpy=use_numpy)
+        walker = batch_walker(engine)
         rng = random.Random(7)
         values = _sample_values("dst_ip_lo", rng)
         assert _results(walker, values) == [engine.lookup(v) for v in values]
@@ -154,14 +137,13 @@ class TestWalkerEquivalence:
         assert walker.rebuilds == 2
         walker.detach()
 
-    @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
-    def test_out_of_range_value_rejected(self, built_classifier, use_numpy):
-        """Both sides of the size switch reject a value outside the domain."""
+    def test_out_of_range_value_rejected(self, built_classifier):
+        """A value outside the domain, alone or after valid ones, is rejected."""
         for name, bad in (
             ("src_ip_lo", 1 << 16), ("src_ip_hi", -1), ("src_port", -1), ("dst_port", 1 << 16)
         ):
-            walker = batch_walker(built_classifier.engines[name], use_numpy=use_numpy)
-            for size in SWITCH_SIZES:
+            walker = batch_walker(built_classifier.engines[name])
+            for size in (1, 200):
                 with pytest.raises(FieldLookupError):
                     walker.resolve([0] * (size - 1) + [bad])
             walker.detach()
@@ -186,19 +168,18 @@ class TestWalkerEquivalence:
         ],
     }
 
-    @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
     @pytest.mark.parametrize("shape", sorted(SHALLOW_RULES))
-    def test_tries_with_empty_levels_bit_exact(self, shape, use_numpy):
-        """Every batch size, down to a trie level holding no node."""
+    def test_tries_with_empty_levels_bit_exact(self, shape):
+        """Samples and the whole domain, down to a trie level holding no node."""
         classifier = create_classifier("configurable", RuleSet(self.SHALLOW_RULES[shape]()))
         rng = random.Random(2014)
         domain = list(range(1 << 16))
         empty_levels = 0
         for name in ("src_ip_hi", "src_ip_lo", "dst_ip_hi", "dst_ip_lo"):
             engine = classifier.engines[name]
-            walker = batch_walker(engine, use_numpy=use_numpy)
+            walker = batch_walker(engine)
             expected = [engine.lookup(value) for value in domain]
-            for size in SWITCH_SIZES:
+            for size in (1, 200):
                 values = rng.sample(domain, size)
                 assert _results(walker, values) == [expected[value] for value in values]
             assert _results(walker, domain) == expected
@@ -225,9 +206,8 @@ def test_trie_match_merge_equals_label_list(first, second):
 SEGMENT_DOMAIN = list(range(1 << 16))
 
 
-def _patching_classifier(ruleset, use_numpy, monkeypatch):
+def _patching_classifier(ruleset):
     """A vectorized classifier whose trie walkers are built and current."""
-    monkeypatch.setattr(vectorized, "HAVE_NUMPY", use_numpy)
     classifier = create_classifier("configurable", ruleset, fast=True, vectorized=True)
     walkers = {
         name: walker
@@ -236,7 +216,6 @@ def _patching_classifier(ruleset, use_numpy, monkeypatch):
     }
     assert len(walkers) == 4
     for walker in walkers.values():
-        assert walker.use_numpy == use_numpy
         walker.resolve([0])
     return classifier, walkers
 
@@ -244,7 +223,7 @@ def _patching_classifier(ruleset, use_numpy, monkeypatch):
 def _assert_domain_exact(walker, engine_too=True):
     """The walker resolves every segment value as a fresh walker (and the engine) do."""
     resolved = _results(walker, SEGMENT_DOMAIN)
-    fresh = batch_walker(walker.engine, use_numpy=walker.use_numpy)
+    fresh = batch_walker(walker.engine)
     assert resolved == _results(fresh, SEGMENT_DOMAIN)
     if engine_too:
         lookup = walker.engine.lookup
@@ -262,8 +241,7 @@ class TestWalkerPatch:
 
     KINDS = ("insert", "remove", "reprioritize")
 
-    @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
-    def test_random_commits_stay_bit_exact(self, small_acl_ruleset, use_numpy, monkeypatch):
+    def test_random_commits_stay_bit_exact(self, small_acl_ruleset, monkeypatch):
         """Seeded inserts, removes and pure reprioritizations, checked per commit.
 
         Commits run until each kind has moved a trie engine.  Every
@@ -272,7 +250,7 @@ class TestWalkerPatch:
         per walker), and give every value outside the commit's spans the id
         it had before; the others kept their view and their engine.
         """
-        classifier, walkers = _patching_classifier(small_acl_ruleset, use_numpy, monkeypatch)
+        classifier, walkers = _patching_classifier(small_acl_ruleset)
         accelerator = classifier._fast_path
         scopes = []
         note_commit = accelerator.note_commit
@@ -342,11 +320,10 @@ class TestWalkerPatch:
         _assert_domain_exact(walker, engine_too=False)
         return walker.rebuilds - before[0], walker.patches - before[1]
 
-    @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
     @pytest.mark.parametrize("commits", [1, 3])
-    def test_narrow_commits_patch_once(self, small_acl_ruleset, use_numpy, commits, monkeypatch):
+    def test_narrow_commits_patch_once(self, small_acl_ruleset, commits):
         """Commits with no traffic in between queue up into one patch."""
-        classifier, walkers = _patching_classifier(small_acl_ruleset, use_numpy, monkeypatch)
+        classifier, walkers = _patching_classifier(small_acl_ruleset)
 
         def setup(classifier):
             for index in range(commits):
@@ -355,12 +332,11 @@ class TestWalkerPatch:
 
         assert self._fallback(classifier, walkers, setup) == (0, 1)
 
-    @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
     @pytest.mark.parametrize(
         "case", ["length_zero_span", "behind_pre_epoch", "out_of_band_install", "wholesale"]
     )
-    def test_fallbacks_rebuild(self, small_acl_ruleset, use_numpy, case, monkeypatch):
-        classifier, walkers = _patching_classifier(small_acl_ruleset, use_numpy, monkeypatch)
+    def test_fallbacks_rebuild(self, small_acl_ruleset, case):
+        classifier, walkers = _patching_classifier(small_acl_ruleset)
         narrow = _spare_rule(60_000, "10.1.2.3/32")
         other = _spare_rule(60_001, "10.1.2.4/32")
 
@@ -382,15 +358,12 @@ class TestWalkerPatch:
 
         assert self._fallback(classifier, walkers, setup) == (1, 0)
 
-    @pytest.mark.parametrize("use_numpy", IMPLEMENTATIONS)
-    def test_patched_views_stay_within_twice_the_trie(
-        self, small_acl_ruleset, use_numpy, monkeypatch
-    ):
+    def test_patched_views_stay_within_twice_the_trie(self, small_acl_ruleset):
         """200 single-op commits: orphaned rows never outnumber live nodes.
 
         Random values spot-check exactness after every commit as well.
         """
-        classifier, walkers = _patching_classifier(small_acl_ruleset, use_numpy, monkeypatch)
+        classifier, walkers = _patching_classifier(small_acl_ruleset)
         rng = random.Random(DIFFERENTIAL_SEED)
         installed = sorted(classifier.update_engine.rules)
         removed = {}
@@ -611,7 +584,7 @@ class TestArrayCombinerWalk:
         staged_only = all(
             math.prod(map(len, lists)) <= min(budget, stage_cap) for lists in batch
         )
-        if HAVE_NUMPY and consistent and staged_only:
+        if numpy is not None and consistent and staged_only:
             assert len(probe_cache) == 0
 
     def test_product_spanning_several_chunks(self):

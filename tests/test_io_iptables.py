@@ -2,12 +2,15 @@
 
 Covers precise line-numbered rejection of the unsupported surface, multiport
 expansion semantics (including the open-ended range forms), hypothesis
-round-trip properties with exact port-range boundaries, and the acceptance
-oracle: an exported-then-reimported ClassBench ACL ruleset must classify
-every realizable packet identically to the original, rule-for-rule.
+round-trip properties with exact port-range boundaries, fuzzed input (only a
+line-numbered ``TraceIOError`` may escape), and the acceptance oracle: an
+exported-then-reimported ClassBench ACL ruleset must classify every
+realizable packet identically to the original, rule-for-rule.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +133,9 @@ class TestImport:
             ("-A FORWARD -j SNAT", 1, "unsupported target"),
             ("-A FORWARD -s 10.0.0.0/33 -j DROP", 1, "CIDR"),
             ("-A FORWARD -p tcp --dport 90:80 -j DROP", 1, "90:80"),
+            (":", 1, "chain name"),
+            ("*filter\n:", 2, "chain name"),
+            ("*filter\n:   \nCOMMIT", 2, "chain name"),
         ],
     )
     def test_rejections_carry_the_line_number(self, line, lineno, message):
@@ -159,6 +165,57 @@ class TestImport:
                 COMMIT
                 """
             )
+
+
+#: The importer's own vocabulary: directives, options, values and targets,
+#: well-formed and not.
+_TOKENS = [
+    "-A", "--append", "FORWARD", "*filter", "*nat", ":", ":FORWARD", "ACCEPT", "[0:0]",
+    "COMMIT", "#", "-s", "-d", "10.0.0.0/8", "10.1.2.3", "300.0.0.0/8", "-p", "tcp",
+    "udp", "icmp", "all", "6", "256", "--sport", "--dport", "80", "80:90", ":90", "90:",
+    "90:80", "70000", "-m", "multiport", "comment", "conntrack", "--sports", "--dports",
+    "1,2:3", ",", "--comment", "rid:7", '"a b"', "'", "!", "-i", "eth0", "-j", "DROP",
+    "REJECT", "MARK", "NFQUEUE", "REDIRECT", "SNAT", "--set-xmark", "0x1/0xffffffff",
+    "--queue-num",
+]
+
+_token_line = st.lists(st.sampled_from(_TOKENS), max_size=10).map(" ".join)
+_structure_line = st.sampled_from(
+    ["", "# note", "*filter", "*nat", ":FORWARD ACCEPT [0:0]", ":", ":  ", "COMMIT"]
+)
+
+
+def _assert_imports_or_names_a_line(lines):
+    """The import succeeds, or fails with a TraceIOError naming an input line."""
+    try:
+        ruleset = parse_iptables_save(lines)
+    except TraceIOError as exc:
+        match = re.match(r"line (\d+): ", str(exc))
+        assert match and 1 <= int(match.group(1)) <= len(lines), str(exc)
+        return
+    for rule in ruleset.rules():
+        assert 1 <= int(rule.metadata["iptables_line"]) <= len(lines)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.text(max_size=30), max_size=6))
+    def test_arbitrary_lines(self, lines):
+        _assert_imports_or_names_a_line(lines)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.one_of(
+                _structure_line,
+                _token_line,
+                _token_line.map(lambda line: "-A FORWARD " + line),
+            ),
+            max_size=6,
+        )
+    )
+    def test_lines_of_importer_tokens(self, lines):
+        _assert_imports_or_names_a_line(lines)
 
 
 class TestExport:

@@ -6,7 +6,8 @@ fixture in memory must reproduce the checked-in file byte-for-byte, and
 parsing it must yield the expected 5-tuples and frame accounting.  The
 round-trip tests close the loop with the writer across every format variant,
 and the allocation guard proves the packed read path never materialises a
-``PacketHeader``.
+``PacketHeader``.  The fuzz tests feed the reader arbitrary bytes: only
+``TraceIOError`` may escape.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ from __future__ import annotations
 import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import TraceIOError
+from repro.io import pcap
 from repro.io.pcap import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
@@ -202,3 +206,122 @@ class TestErrorPaths:
             write_pcap(path, [], linktype=105)
         with pytest.raises(TraceIOError, match="byte_order"):
             write_pcap(path, [], byte_order="middle")
+
+    def test_oversized_caplen_rejected_with_offset(self, tmp_path):
+        """A record claiming more than libpcap's maximum is corrupt, not torn.
+
+        The scan must raise before it reads (a read sized by the claim would
+        allocate it), naming the record's byte offset.
+        """
+        path = tmp_path / "oversized.pcap"
+        write_pcap(str(path), GOLDEN_TUPLES[:1], seed=1)
+        offset = path.stat().st_size
+        with path.open("ab") as stream:
+            stream.write(struct.pack("<IIII", 0, 0, 262_145, 262_145) + b"\x45" * 40)
+        stats = PcapStats()
+        scanned = []
+        with pytest.raises(TraceIOError, match=f"offset {offset} .*caplen 262145"):
+            for five in scan_pcap(str(path), ports="word", stats=stats):
+                scanned.append(five)
+        assert scanned == GOLDEN_TUPLES[:1]
+        assert stats.truncated == 0
+
+    def test_caplen_at_the_maximum_is_a_torn_tail(self, tmp_path):
+        path = tmp_path / "torn.pcap"
+        write_pcap(str(path), GOLDEN_TUPLES[:1], seed=1)
+        with path.open("ab") as stream:
+            stream.write(struct.pack("<IIII", 0, 0, 262_144, 262_144) + b"\x45" * 40)
+        stats = PcapStats()
+        assert list(scan_pcap(str(path), ports="word", stats=stats)) == GOLDEN_TUPLES[:1]
+        assert (stats.packets, stats.truncated) == (1, 1)
+
+
+#: The classic pcap magics (microsecond, nanosecond) as read in file order.
+MAGICS = (0xA1B2C3D4, 0xA1B23C4D)
+
+
+def _oversized_record(data: bytes):
+    """Offset of the first record the scan reaches that claims too many bytes.
+
+    None when the file has no pcap magic, or when every record the scan
+    reaches fits (it then ends cleanly or at a torn tail).
+    """
+    for order in "<>":
+        if len(data) >= 24 and struct.unpack_from(order + "I", data)[0] in MAGICS:
+            break
+    else:
+        return None
+    offset = 24
+    while offset + 16 <= len(data):
+        caplen = struct.unpack_from(order + "I", data, offset + 8)[0]
+        if caplen > pcap.MAX_CAPLEN:
+            return offset
+        offset += 16 + caplen
+    return None
+
+
+def _scan_bytes(path, data: bytes, ports: str = "transport"):
+    """Scan ``data`` as a capture: (tuples or the TraceIOError, stats, oversized)."""
+    oversized = _oversized_record(data)
+    path.write_bytes(data)
+    stats = PcapStats()
+    try:
+        return list(scan_pcap(str(path), ports=ports, stats=stats)), stats, oversized
+    except TraceIOError as exc:
+        return exc, stats, oversized
+
+
+FUZZ = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestFuzz:
+    """Arbitrary bytes: only ``TraceIOError`` escapes, and a clean scan's
+    tuples are exactly the ones ``stats.packets`` counts."""
+
+    @FUZZ
+    @given(
+        order=st.sampled_from("<>"),
+        magic=st.sampled_from(MAGICS),
+        linktype=st.sampled_from([LINKTYPE_ETHERNET, LINKTYPE_RAW_IP]),
+        frames=st.lists(st.binary(max_size=80), max_size=4),
+        tail=st.binary(max_size=64),
+        ports=st.sampled_from(["transport", "word"]),
+    )
+    def test_valid_header_then_arbitrary_bytes(
+        self, tmp_path, order, magic, linktype, frames, tail, ports
+    ):
+        """Well-framed arbitrary frames, then arbitrary bytes (whose first 16
+        form a record header with an arbitrary ``caplen``)."""
+        data = struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, linktype)
+        for frame in frames:
+            data += struct.pack(order + "IIII", 0, 0, len(frame), len(frame)) + frame
+        data += tail
+        outcome, stats, oversized = _scan_bytes(tmp_path / "fuzz.pcap", data, ports)
+        if isinstance(outcome, TraceIOError):
+            assert oversized is not None and f"offset {oversized} " in str(outcome)
+        else:
+            assert oversized is None
+            assert len(outcome) == stats.packets
+            assert stats.frames >= len(frames)
+
+    @FUZZ
+    @given(
+        header=st.one_of(
+            st.binary(min_size=24, max_size=24),
+            st.builds(
+                lambda order, magic, rest: struct.pack(order + "I", magic) + rest,
+                st.sampled_from("<>"),
+                st.sampled_from(MAGICS),
+                st.binary(min_size=20, max_size=20),
+            ),
+        ),
+        tail=st.binary(max_size=64),
+    )
+    def test_arbitrary_global_header(self, tmp_path, header, tail):
+        outcome, stats, oversized = _scan_bytes(tmp_path / "fuzz.pcap", header + tail)
+        if isinstance(outcome, TraceIOError):
+            return
+        assert oversized is None
+        assert len(outcome) == stats.packets

@@ -5,6 +5,7 @@ statistics equal to one session's and bit-identical results from the worker
 processes, a footprint that follows commits, the constant-memory
 bounded-chunk dispatch (the trace is never materialised), the
 commit-on-success failure semantics (a poisoned packet corrupts nothing),
+the bound of the parent's result-interning memo,
 the picklable :class:`ReplicaSpec` worker recipe, the one accepted
 ``backend`` keyword, and the merge edge cases of the one statistics fold,
 :meth:`RunningCounters.merge` plus :meth:`RunningCounters.to_stats` (mixed
@@ -26,7 +27,7 @@ from repro.api.control import Txn
 from repro.api.session import RunningCounters
 from repro.core.result import BatchResult, Classification
 from repro.exceptions import ConfigurationError
-from repro.perf import ParallelSession, ReplicaSpec
+from repro.perf import ParallelSession, ReplicaSpec, parallel
 from repro.rules.packet import PacketHeader
 from repro.rules.trace import generate_trace
 
@@ -230,6 +231,27 @@ class TestProcessBackend:
             fed = pool.feed(trace)
             assert list(fed.results) == list(batch.results)
             assert pool.replica_details()["fast_path"] is True
+
+    def test_result_memo_stays_bounded(self, spec, small_acl_ruleset, monkeypatch):
+        """Never-repeating headers over several feeds: the parent's interning
+        memo holds at most ``RESULT_MEMO_LIMIT`` records, evicting the oldest,
+        and every result still matches the linear-search oracle."""
+        monkeypatch.setattr(parallel, "RESULT_MEMO_LIMIT", 64)
+        trace = list(dict.fromkeys(
+            generate_trace(small_acl_ruleset, count=3000, seed=23, locality=0.0)
+        ))
+        assert len(trace) > 2000
+        with ParallelSession.from_factory(spec, workers=2, chunk_size=64) as pool:
+            for start in range(0, len(trace), 500):
+                part = trace[start:start + 500]
+                fed = pool.feed(part)
+                assert len(pool._result_memo) <= 64
+                assert [result.rule_id for result in fed] == [
+                    match.rule_id if (match := small_acl_ruleset.highest_priority_match(p))
+                    else None
+                    for p in part
+                ]
+            assert pool._result_memo.evictions > 0
 
     @pytest.mark.parametrize("backend", ["thread", "gevent"])
     def test_unknown_backend_rejected(self, spec, backend):
