@@ -5,9 +5,11 @@ every input value, the results the ids of ``batch_walker(engine).resolve``
 name (``walker.result(id)``) must equal ``[engine.lookup(v) for v in
 values]`` — matches, ordering, access counts and cycles.  The walkers are
 pure Python whether or not NumPy is installed.  Within a walker, equal ids
-must mean equal results and the other way round.  Also covers walker
-invalidation on engine mutation, the trie walker's in-place patch on commit
-spans (ids of values outside the spans survive it), the batched
+must mean equal results and the other way round.  Also covers every walker
+type's invalidation on engine mutation, the intern tables (ids survive a
+rebuild until a prune; a rebuild keeps the table within twice the ids its
+view names; the scalar walker's prune), the trie walker's in-place patch on
+commit spans (ids of values outside the spans survive it), the batched
 hash/rule-filter primitives, the array combiner walk against the sequential
 one, and the bounded cache types.
 """
@@ -15,6 +17,7 @@ one, and the bounded cache types.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -106,17 +109,29 @@ class TestWalkerEquivalence:
         assert isinstance(batch_walker(built_classifier.engines["src_port"]), PortBatchWalker)
         assert isinstance(batch_walker(built_classifier.engines["protocol"]), ScalarBatchWalker)
 
-    def test_invalidation_on_mutation(self, small_acl_ruleset, small_fw_ruleset):
-        classifier = create_classifier("configurable", small_acl_ruleset)
-        engine = classifier.engines["dst_ip_lo"]
+    @pytest.mark.parametrize(
+        "algorithm, name, walker_type",
+        [
+            ("mbt", "dst_ip_lo", TrieBatchWalker),
+            ("bst", "dst_ip_lo", BstBatchWalker),
+            ("mbt", "src_port", PortBatchWalker),
+            ("mbt", "protocol", ScalarBatchWalker),
+        ],
+        ids=["trie", "bst", "port", "scalar"],
+    )
+    def test_invalidation_on_mutation(
+        self, small_acl_ruleset, small_fw_ruleset, algorithm, name, walker_type
+    ):
+        classifier = create_classifier("configurable", small_acl_ruleset, ip_algorithm=algorithm)
+        engine = classifier.engines[name]
         walker = batch_walker(engine)
+        assert type(walker) is walker_type
         rng = random.Random(7)
-        values = _sample_values("dst_ip_lo", rng)
+        values = _sample_values(name, rng)
         assert _results(walker, values) == [engine.lookup(v) for v in values]
         # Mutate the engine through the real update path and re-check: the
         # walker must rebuild its flattened view, not replay the stale one.
-        import dataclasses
-
+        epoch = engine.mutation_epoch
         installed = 0
         for rule in list(small_fw_ruleset):
             try:
@@ -129,6 +144,7 @@ class TestWalkerEquivalence:
             if installed >= 20:
                 break
         assert installed > 0
+        assert engine.mutation_epoch != epoch
         assert _results(walker, values) == [engine.lookup(v) for v in values]
         # Exactly two flat-view builds: the initial one and the post-mutation
         # rebuild — resolving again on an unchanged engine stays at two.
@@ -186,6 +202,115 @@ class TestWalkerEquivalence:
             empty_levels += sum(not ids for ids in walker._node_ids)
             walker.detach()
         assert empty_levels > 0
+
+
+def _named_ids(walker):
+    """The ids an array walker's view names: every flat row's or interval's."""
+    if isinstance(walker, TrieBatchWalker):
+        return set(itertools.chain.from_iterable(walker._node_ids))
+    return set(walker._interval_ids)
+
+
+#: One array walker of each type: (ip_algorithm, dimension).
+ARRAY_WALKERS = {
+    "trie": ("mbt", "dst_ip_lo"),
+    "bst": ("bst", "dst_ip_lo"),
+    "port": ("mbt", "dst_port"),
+}
+
+
+class TestInternTable:
+    """Ids outlive rebuilds until a prune, and a rebuild bounds the table."""
+
+    @pytest.mark.parametrize("kind", sorted(ARRAY_WALKERS))
+    def test_reinserted_rule_results_keep_their_ids(self, small_acl_ruleset, kind):
+        """Remove a rule and re-insert it: every value gets its old id back,
+        unless the removal's rebuild pruned the table."""
+        algorithm, name = ARRAY_WALKERS[kind]
+        classifier = create_classifier("configurable", small_acl_ruleset, ip_algorithm=algorithm)
+        engine = classifier.engines[name]
+        walker = batch_walker(engine)
+        sample = random.Random(11).sample(SEGMENT_DOMAIN, 200)
+        kept = 0
+        for rule in list(small_acl_ruleset)[:20]:
+            before = walker.resolve(SEGMENT_DOMAIN)
+            epoch = engine.mutation_epoch
+            classifier.remove(rule.rule_id)
+            if engine.mutation_epoch == epoch:  # the rule is a wildcard here
+                classifier.install(rule)
+                continue
+            interned = walker.interned
+            assert _results(walker, sample) == [engine.lookup(v) for v in sample]
+            pruned = walker.interned < interned
+            classifier.install(rule)
+            after = walker.resolve(SEGMENT_DOMAIN)
+            assert [walker.result(after[v]) for v in sample] == [engine.lookup(v) for v in sample]
+            if not pruned:
+                assert after == before
+                kept += 1
+        assert kept >= 5
+
+    @pytest.mark.parametrize("kind", sorted(ARRAY_WALKERS))
+    def test_rebuild_bounds_the_table_by_twice_the_view(self, small_acl_ruleset, kind):
+        """Fresh rules come and go: retired results pile up in the table until
+        a rebuild finds it over twice the ids its view names and cuts it to
+        exactly those."""
+        algorithm, name = ARRAY_WALKERS[kind]
+        classifier = create_classifier("configurable", small_acl_ruleset, ip_algorithm=algorithm)
+        engine = classifier.engines[name]
+        walker = batch_walker(engine)
+        walker.resolve([0])
+        rng = random.Random(7)
+        prunes = 0
+        for step in range(400):
+            if kind == "port":
+                low = rng.randrange(1 << 16)
+                fields = {"dst_port": f"{low}:{min(0xFFFF, low + rng.randrange(64))}"}
+            else:
+                octets = ".".join(str(rng.randrange(256)) for _ in range(3))
+                fields = {"dst": f"10.{octets}/{rng.randint(17, 32)}"}
+            rule = Rule.build(70_000 + step, rng.randrange(300), action=RuleAction.DROP, **fields)
+            classifier.install(rule)
+            prunes += self._rebuild_within_bound(walker, rng)
+            classifier.remove(rule.rule_id)
+            prunes += self._rebuild_within_bound(walker, rng)
+            if prunes >= 2:
+                break
+        assert prunes >= 2
+
+    @staticmethod
+    def _rebuild_within_bound(walker, rng):
+        """Rebuild on a spot check of the engine's lookups; True if it pruned."""
+        interned = walker.interned
+        values = [rng.randrange(1 << 16) for _ in range(8)]
+        assert _results(walker, values) == [walker.engine.lookup(v) for v in values]
+        named = _named_ids(walker)
+        assert walker.interned <= 2 * len(named)
+        if walker.interned < interned:
+            assert set(walker._results) == named
+            return True
+        return False
+
+    def test_scalar_prune_keeps_the_live_ids(self, small_acl_ruleset):
+        """``prune`` keeps exactly the live ids; a pruned result comes back
+        under a fresh id, never a reused one."""
+        classifier = create_classifier("configurable", small_acl_ruleset)
+        engine = classifier.engines["protocol"]
+        walker = batch_walker(engine)
+        assert type(walker) is ScalarBatchWalker
+        domain = list(range(0x100))
+        ids = walker.resolve(domain)
+        distinct = sorted(set(ids))
+        assert len(distinct) >= 2
+        live = set(distinct[: len(distinct) // 2])
+        walker.prune(live)
+        assert walker.interned == len(live)
+        again = walker.resolve(domain)
+        assert [walker.result(i) for i in again] == [engine.lookup(v) for v in domain]
+        for old, new in zip(ids, again):
+            assert new == old if old in live else new > max(distinct)
+        walker.prune(set(again))  # every id still named: nothing to drop
+        assert walker.interned == len(set(again))
 
 
 @settings(max_examples=200, deadline=None)
